@@ -250,67 +250,87 @@ def _expected_pulse_bound(algorithm: str, ids: List[int]) -> "tuple[str, int]":
     return ("n(2*IDmax+1) (Thm 2)", n * (2 * id_max + 1))
 
 
-def _fault_model_from_args(args: argparse.Namespace):
-    """Compile the declarative ``--inject-*`` flags into a FaultModel.
+def _add_fault_rate_args(parser: argparse.ArgumentParser) -> None:
+    """The random channel-fault knobs: one spelling on every command that
+    injects faults into sampled or explored runs."""
+    group = parser.add_argument_group("random channel faults")
+    group.add_argument("--inject-drop-rate", type=float, default=0.0,
+                       help="per-pulse drop probability")
+    group.add_argument("--inject-duplicate-rate", type=float, default=0.0,
+                       help="per-pulse duplication probability")
+    group.add_argument("--inject-spurious-rate", type=float, default=0.0,
+                       help="spurious-pulse probability per fault "
+                            "opportunity (per send on event channels, per "
+                            "channel per round on the fleet)")
+    group.add_argument("--fault-seed", type=int, default=0,
+                       help="seed of the counter-based fault streams")
 
-    Returns None when no fault clause was requested (fault-free run).
+
+def _fault_model_from_args(args: argparse.Namespace):
+    """Compile the fault flags of ``repro verify`` into a FaultModel.
+
+    Returns None when no fault clause was requested (fault-free run).  A
+    malformed or out-of-range clause exits with a one-line message.
     """
     from repro.exceptions import ConfigurationError
     from repro.faults.model import (
         FaultBurst,
         FaultModel,
         NodeCrash,
+        PulseDrop,
         StateCorruption,
     )
 
-    burst = None
-    if args.inject_burst is not None:
-        if len(args.inject_burst) != 2:
-            raise SystemExit("--inject-burst takes START,LENGTH")
-        start, length = args.inject_burst
-        burst = FaultBurst(start=start, length=length)
-    crashes = []
-    for spec in args.inject_crash or []:
-        parts = _parse_int_list(spec)
-        if len(parts) == 2:
-            crashes.append(NodeCrash(node=parts[0], at_round=parts[1]))
-        elif len(parts) == 3:
-            crashes.append(
-                NodeCrash(
-                    node=parts[0], at_round=parts[1], restart_after=parts[2]
-                )
+    try:
+        burst = None
+        if args.inject_burst is not None:
+            if len(args.inject_burst) != 2:
+                raise SystemExit("--inject-burst takes START,LENGTH")
+            start, length = args.inject_burst
+            burst = FaultBurst(start=start, length=length)
+        drops = []
+        if args.inject_drop is not None:
+            if len(args.inject_drop) != 3:
+                raise SystemExit("--inject-drop takes ROUND,NODE,INSTANCE")
+            round_index, node, instance = args.inject_drop
+            drops.append(
+                PulseDrop(round_index=round_index, node=node, instance=instance)
             )
-        else:
-            raise SystemExit("--inject-crash takes NODE,ROUND[,RESTART_AFTER]")
-    corruptions = []
-    for spec in args.inject_corrupt or []:
-        parts = spec.split(",")
-        if len(parts) != 4:
-            raise SystemExit("--inject-corrupt takes NODE,ROUND,FIELD,VALUE")
-        try:
+        crashes = []
+        for spec in args.inject_crash or []:
+            parts = _parse_int_list(spec)
+            if len(parts) not in (2, 3):
+                raise SystemExit(
+                    "--inject-crash takes NODE,ROUND[,RESTART_AFTER]"
+                )
+            crashes.append(NodeCrash(*parts))
+        corruptions = []
+        for spec in args.inject_corrupt or []:
+            parts = spec.split(",")
+            if len(parts) != 4:
+                raise SystemExit("--inject-corrupt takes NODE,ROUND,FIELD,VALUE")
+            try:
+                node, at_round, value = (int(parts[i]) for i in (0, 1, 3))
+            except ValueError:
+                raise SystemExit(
+                    "--inject-corrupt NODE, ROUND and VALUE must be integers"
+                ) from None
             corruptions.append(
                 StateCorruption(
-                    node=int(parts[0]),
-                    at_round=int(parts[1]),
-                    field=parts[2],
-                    value=int(parts[3]),
+                    node=node, at_round=at_round, field=parts[2], value=value
                 )
             )
-        except ValueError:
-            raise SystemExit(
-                "--inject-corrupt NODE, ROUND and VALUE must be integers"
-            ) from None
-    try:
         model = FaultModel(
             drop_rate=args.inject_drop_rate,
             duplicate_rate=args.inject_duplicate_rate,
             spurious_rate=args.inject_spurious_rate,
-            seed=args.inject_seed,
+            seed=args.fault_seed,
             burst=burst,
+            drops=tuple(drops),
             crashes=tuple(crashes),
             corruptions=tuple(corruptions),
         )
-    except ConfigurationError as error:
+    except (ConfigurationError, argparse.ArgumentTypeError) as error:
         raise SystemExit(str(error)) from None
     return None if model.is_noop else model
 
@@ -497,7 +517,6 @@ def _cmd_verify_anonymous(args: argparse.Namespace) -> int:
 
 def _cmd_verify_statistical(args: argparse.Namespace) -> int:
     from repro.accel import maybe_warm_compiled
-    from repro.simulator.fleet import FleetFault
     from repro.verification.statistical import run_statistical_check
 
     if args.topology is not None:
@@ -508,22 +527,6 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
     model = _fault_model_from_args(args)
     if args.recovery:
         return _cmd_verify_recovery(args, model)
-
-    fault = model
-    if args.inject_drop is not None:
-        if len(args.inject_drop) != 3:
-            raise SystemExit("--inject-drop takes ROUND,NODE,INSTANCE")
-        round_index, node, instance = args.inject_drop
-        drop = FleetFault(
-            round_index=round_index, node=node, direction="cw",
-            instance=instance,
-        )
-        if model is None:
-            fault = drop
-        else:
-            from dataclasses import replace
-
-            fault = replace(model, drops=model.drops + (drop,))
 
     from repro.exceptions import ConfigurationError
 
@@ -539,7 +542,7 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
             backend=args.backend,
             block_size=args.block_size,
             confidence=args.confidence,
-            fault=fault,
+            faults=model,
             watchdog_rounds=args.watchdog,
             processes=args.processes,
         )
@@ -553,14 +556,8 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
     print(f"samples              : {report.samples}")
     print(f"backend / scheduler  : {report.backend} / {report.scheduler}")
     print(f"seeds (ids, sched)   : {report.seed}, {report.sched_seed}")
-    if isinstance(fault, FleetFault):
-        print(
-            f"injected fault       : drop 1 {fault.direction} pulse at "
-            f"round {fault.round_index} toward node {fault.node} in "
-            f"instance {fault.instance}"
-        )
-    elif fault is not None:
-        print(f"injected fault       : {fault}")
+    if model is not None:
+        print(f"injected faults      : {model}")
     print(f"invariant violations : {report.violations}")
     print(
         f"pass rate            : {report.pass_rate:.6f} "
@@ -603,7 +600,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.nonoriented import NonOrientedNode
     from repro.core.terminating import TerminatingNode
     from repro.core.warmup import WarmupNode
-    from repro.simulator.faults import FaultPlan, apply_fault_plan
+    from repro.faults.channel import apply_fault_model
     from repro.simulator.ring import build_nonoriented_ring, build_oriented_ring
     from repro.verification import (
         ExplorationLimitExceeded,
@@ -638,20 +635,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
 
     ids = args.ids
-    fault_plan = None
-    if args.fault_drop or args.fault_duplicate:
-        fault_plan = FaultPlan(
-            drop_rate=args.fault_drop,
-            duplicate_rate=args.fault_duplicate,
-            seed=args.fault_seed,
+    model = _fault_model_from_args(args)
+    if model is not None and model.fleet_only_clauses:
+        raise SystemExit(
+            f"verify: fault clauses {'/'.join(model.fleet_only_clauses)} "
+            "run on the fleet engine only; add --statistical"
         )
-    elif args.fault_seed:
-        # An all-zero plan is a valid no-op value at the library level;
+    if model is None and args.fault_seed:
+        # An all-zero model is a valid no-op value at the library level;
         # requesting one at the CLI is almost certainly a typo, so warn
         # (but proceed fault-free) rather than reject.
         print(
             "warning: fault seed given but all fault rates are zero — "
-            "running fault-free (no-op fault plan)"
+            "running fault-free (no-op fault model)"
         )
 
     def factory():
@@ -680,8 +676,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 args.algorithm
             ]
             network = build_oriented_ring([cls(i) for i in ids]).network
-        if fault_plan is not None:
-            apply_fault_plan(network, fault_plan)
+        if model is not None:
+            apply_fault_model(network, model)
         return network
 
     if graph is not None and args.invariants:
@@ -700,18 +696,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"algorithm            : {args.algorithm}")
     print(f"ids                  : {ids}")
-    if fault_plan is not None:
+    if model is not None:
         print(
-            f"faults               : drop={fault_plan.drop_rate} "
-            f"duplicate={fault_plan.duplicate_rate} seed={fault_plan.seed}"
+            f"faults               : drop={model.drop_rate} "
+            f"duplicate={model.duplicate_rate} "
+            f"spurious={model.spurious_rate} seed={model.seed}"
         )
     if hooks:
         print(f"invariant hooks      : {[hook.__name__ for hook in hooks]}")
 
     reduction = args.reduction
-    if reduction == "por":  # deprecated PR 2 spelling
-        print("note: --reduction por is deprecated; using 'ample'")
-        reduction = "ample"
     if graph is not None and reduction in ("symmetry", "full"):
         # The ring-symmetry layer validates the ring builder convention
         # (it would raise ConfigurationError on these networks): general
@@ -723,7 +717,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"convention; downgrading to '{downgraded}' off-ring"
         )
         reduction = downgraded
-    if fault_plan is not None and reduction in ("symmetry", "full"):
+    if model is not None and reduction in ("symmetry", "full"):
         # Per-channel fault profiles break the ring automorphisms, so the
         # symmetry layer would be unsound; drop to the strongest sound mode.
         downgraded = "sleep" if reduction == "full" else "ample"
@@ -798,7 +792,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     ok = result.confluent and result.quiescence_violations == 0
 
-    if fault_plan is None:
+    if model is None:
         if graph is not None:
             from repro.core.kernels.ear import pulse_bound
 
@@ -1277,9 +1271,9 @@ def _farm_campaign_from_args(args: argparse.Namespace):
             sched_seed=args.sched_seed,
             scheduler=args.scheduler,
             faults=FaultModel(
-                drop_rate=args.drop_rate,
-                duplicate_rate=args.duplicate_rate,
-                spurious_rate=args.spurious_rate,
+                drop_rate=args.inject_drop_rate,
+                duplicate_rate=args.inject_duplicate_rate,
+                spurious_rate=args.inject_spurious_rate,
                 seed=args.fault_seed,
             ),
         )
@@ -1493,15 +1487,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--flips", type=_parse_bool_list, default=None,
                         help="port flips for nonoriented, e.g. 1,0,1")
     verify.add_argument("--reduction",
-                        choices=["full", "symmetry", "sleep", "ample", "none",
-                                 "por"],
+                        choices=["full", "symmetry", "sleep", "ample", "none"],
                         default="full",
                         help="reduction stack: full = ample + sleep sets + "
                              "ring-symmetry canonicalization (default); "
                              "symmetry = ample + symmetry; sleep = ample + "
                              "sleep sets; ample = persistent sets only; "
-                             "none: branch on every channel at every state "
-                             "(por is a deprecated alias of ample)")
+                             "none: branch on every channel at every state")
     verify.add_argument("--topology", default=None, metavar="SPEC",
                         help="verify the ear election on a 2-edge-connected "
                              "graph (same SPEC grammar as elect --topology): "
@@ -1518,11 +1510,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--invariants", action="store_true",
                         help="evaluate the executable lemmas at every "
                              "explored state")
-    verify.add_argument("--fault-drop", type=float, default=0.0,
-                        help="per-pulse drop probability (explore under faults)")
-    verify.add_argument("--fault-duplicate", type=float, default=0.0,
-                        help="per-pulse duplication probability")
-    verify.add_argument("--fault-seed", type=int, default=0)
     verify.add_argument("--max-states", type=int, default=2_000_000)
     verify.add_argument("--statistical", action="store_true",
                         help="sample random instances through the fleet "
@@ -1552,12 +1539,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="self-test: delete one in-flight CW pulse at "
                              "ROUND toward NODE in sampled INSTANCE; the "
                              "battery must flag it")
-    verify.add_argument("--inject-drop-rate", type=float, default=0.0,
-                        help="per-pulse drop probability (--statistical)")
-    verify.add_argument("--inject-duplicate-rate", type=float, default=0.0,
-                        help="per-pulse duplication probability")
-    verify.add_argument("--inject-spurious-rate", type=float, default=0.0,
-                        help="per-channel-per-round spurious pulse probability")
     verify.add_argument("--inject-burst", type=_parse_int_list, default=None,
                         metavar="START,LENGTH",
                         help="confine the random fault rates to rounds "
@@ -1571,8 +1552,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NODE,ROUND,FIELD,VALUE",
                         help="set a schema-validated kernel state FIELD of "
                              "NODE to VALUE at ROUND (repeatable)")
-    verify.add_argument("--inject-seed", type=int, default=0,
-                        help="seed of the counter-based fault streams")
+    _add_fault_rate_args(verify)
     verify.add_argument("--recovery", action="store_true",
                         help="classify every faulted sampled run by its "
                              "stable end state (recovered / wrong_stable / "
@@ -1866,14 +1846,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsubmit.add_argument("--rates", type=_parse_float_list,
                          default=[0.0, 0.005, 0.01, 0.02, 0.05],
                          help="degradation: non-decreasing rate grid")
-    fsubmit.add_argument("--drop-rate", type=float, default=0.0,
-                         help="recovery: per-pulse drop probability")
-    fsubmit.add_argument("--duplicate-rate", type=float, default=0.0,
-                         help="recovery: per-pulse duplication probability")
-    fsubmit.add_argument("--spurious-rate", type=float, default=0.0,
-                         help="recovery: per-slot spurious-pulse probability")
-    fsubmit.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the counter-based fault streams")
+    _add_fault_rate_args(fsubmit)
     fsubmit.add_argument("--backend", choices=list(BACKEND_CHOICES),
                          default="auto")
     fsubmit.add_argument("--block-size", type=int, default=256)

@@ -241,6 +241,24 @@ def apply_ccw_laps(state: Any, pulses: int) -> None:
 # -- NumPy column lowerings (same semantics over [B, n] arrays) -------------
 
 
+#: Per-node fresh values of the state columns, shared by
+#: :meth:`TerminatingColumns.fresh` and the crash-restart reset
+#: :meth:`TerminatingColumns.reset_node` (``sends_*`` are round buffers,
+#: empty at every round boundary, so they are not state).
+_FRESH_STATE = (
+    ("rho_cw", 0),
+    ("rho_ccw", 0),
+    ("pend_cw", 0),
+    ("pend_ccw", 0),
+    # on_init: every node sends one CW pulse (line 1).
+    ("sigma_cw", 1),
+    ("sigma_ccw", 0),
+    ("term_sent", False),
+    ("terminated", False),
+    ("out_leader", False),
+)
+
+
 @dataclass
 class TerminatingColumns:
     """Struct-of-arrays lowering of :data:`SCHEMA` across a fleet block.
@@ -266,21 +284,22 @@ class TerminatingColumns:
     @classmethod
     def fresh(cls, np: Any, ids: Any) -> "TerminatingColumns":
         B, n = ids.shape
+        state = {
+            name: np.full((B, n), value, bool if isinstance(value, bool) else np.int64)
+            for name, value in _FRESH_STATE
+        }
         return cls(
             ids=ids,
-            rho_cw=np.zeros((B, n), np.int64),
-            rho_ccw=np.zeros((B, n), np.int64),
-            pend_cw=np.zeros((B, n), np.int64),
-            pend_ccw=np.zeros((B, n), np.int64),
-            # on_init: every node sends one CW pulse (line 1).
-            sigma_cw=np.ones((B, n), np.int64),
-            sigma_ccw=np.zeros((B, n), np.int64),
-            term_sent=np.zeros((B, n), bool),
-            terminated=np.zeros((B, n), bool),
-            out_leader=np.zeros((B, n), bool),
             sends_cw=np.zeros((B, n), np.int64),
             sends_ccw=np.zeros((B, n), np.int64),
+            **state,
         )
+
+    def reset_node(self, rows: Any, node: int) -> None:
+        """Reboot ``node`` to its :meth:`fresh` values in ``rows`` (a
+        crash-restart; the caller re-sends the line-1 CW pulse)."""
+        for name, value in _FRESH_STATE:
+            getattr(self, name)[rows, node] = value
 
 
 def drain_block_np(np: Any, cols: TerminatingColumns) -> None:

@@ -9,16 +9,15 @@ kernel ``SCHEMA``\\ s.  Each backend gets a thin compiler:
 
 * event-driven + batched engines → :class:`FaultyChannel`
   (:func:`apply_fault_model`);
-* fleet NumPy + pure-Python columns → :class:`~repro.faults.fleet.DirectionFaults`
-  / :class:`~repro.faults.fleet.TerminatingFaults`;
+* fleet NumPy + pure-Python columns → one clause compiler in
+  :mod:`repro.faults.fleet`, bound per round loop as
+  :class:`~repro.faults.fleet.DirectionFaults` /
+  :class:`~repro.faults.fleet.TerminatingFaults`;
 * schedule explorers → :class:`ReplayProfile` (pure-function replay).
 
 All randomness is counter-based (:func:`roll_u64`): a decision is a pure
 function of ``(seed, kind, instance, round, channel, pulse)``, so any
 run — solo, sharded, or branched — replays bit-identically.
-
-The historical per-backend spellings (``FaultPlan``, ``FaultProfile``,
-``FleetFault``) survive as aliases over this model.
 """
 
 from repro.faults.channel import (
@@ -40,7 +39,6 @@ from repro.faults.model import (
     FaultBurst,
     FaultGroup,
     FaultModel,
-    FleetFault,
     GroupDrop,
     NodeCrash,
     PulseDrop,
@@ -50,11 +48,7 @@ from repro.faults.model import (
     rate_threshold,
     roll_u64,
 )
-from repro.faults.profile import (
-    FaultProfile,
-    ReplayProfile,
-    build_fault_profile,
-)
+from repro.faults.profile import ReplayProfile, build_fault_profile
 
 __all__ = [
     "FAULT_SPURIOUS_BIT",
@@ -64,9 +58,7 @@ __all__ = [
     "FaultBurst",
     "FaultGroup",
     "FaultModel",
-    "FaultProfile",
     "FaultyChannel",
-    "FleetFault",
     "GroupDrop",
     "NodeCrash",
     "PulseDrop",

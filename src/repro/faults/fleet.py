@@ -11,7 +11,7 @@ module lowers a :class:`~repro.faults.model.FaultModel` onto that loop:
   on a channel rolls independently), duplicates/spurious add at most one
   pulse per channel per round.
 * **deterministic drops** (:class:`~repro.faults.model.PulseDrop`)
-  reproduce the fleet's historical ``FleetFault`` semantics exactly.
+  delete up to ``count`` pulses in flight toward one node at one round.
 * **crashes** evaporate all deliveries toward the node while down (its
   state freezes: nothing is delivered, its pending is empty at round
   boundaries, so the kernels never touch it); a restart resets the node
@@ -21,10 +21,14 @@ module lowers a :class:`~repro.faults.model.FaultModel` onto that loop:
 
 Every decision is a counter-based roll keyed on the **global** instance
 index (``instance_offset + row``), so a counterexample replayed solo at
-the same global index sees the identical fault pattern.  The NumPy and
-pure-Python applications are written as exact twins (same clause order,
-same roll coordinates) — the fleet differential tests pin this
-bit-for-bit.
+the same global index sees the identical fault pattern.  One clause
+compiler serves all three algorithms: it walks the round loop's
+directional flights (one for Algorithm 1 and each half of Algorithm 3,
+CW + CCW for Algorithm 2), with exactly one NumPy and one pure-Python
+implementation per clause (same clause order, same roll coordinates) —
+the fleet differential tests pin the pair bit-for-bit.
+:class:`DirectionFaults` and :class:`TerminatingFaults` only bind it to
+their loops' columns.
 
 Lap-skips and faults: fault opportunities are defined per fleet *round*,
 and a lap-skip compresses laps **within** one round, so skipping changes
@@ -133,14 +137,21 @@ def _np_under(np_mod: Any, rolls: Any, threshold: int) -> Any:
     return rolls < np_mod.uint64(threshold)
 
 
-def _np_group_sel(
-    np_mod: Any, group: Any, live: Any, instance_offset: int, B: int
+def _aims_at(clause: Any, instance: int) -> bool:
+    """Whether a clause applies to global ``instance``: it targets that
+    instance, or every instance (``instance=None``)."""
+    return clause.instance is None or clause.instance == instance
+
+
+def _np_rows(
+    np_mod: Any, instance: Optional[int], live: Any, instance_offset: int, B: int
 ) -> Any:
-    """Row mask a group may touch: live rows, or the one targeted row."""
-    if group.instance is None:
+    """Row mask a clause may touch: the live rows, or the one live row of
+    its targeted global ``instance``."""
+    if instance is None:
         return live
     sel = np_mod.zeros(B, bool)
-    row = group.instance - instance_offset
+    row = instance - instance_offset
     if 0 <= row < B:
         sel[row] = live[row]
     return sel
@@ -287,30 +298,58 @@ def _apply_random_py(
                 events["injected"] += 1
 
 
-class DirectionFaults:
-    """A :class:`FaultModel` compiled onto one directional warmup-kernel
-    fleet run (Algorithm 1, or one half of Algorithm 3).
+#: The anchor counter a group trigger reads, spelled as both the NumPy
+#: column and the kernel-state attribute: a directional run's counters
+#: are its warmup kernel's ``rho_cw``/``sigma_cw`` (Algorithm 1 in the
+#: run's own frame), and the terminating run triggers on its CW pair.
+_TRIGGER_FIELDS: Dict[Optional[str], str] = {"rho": "rho_cw", "sigma": "sigma_cw"}
 
-    The direction run materializes exactly two counter columns — its
-    ``rho`` and ``sigma`` — so corruption clauses naming the *other*
-    direction's fields are silently owned by the twin adapter (the
-    caller compiles one adapter per direction).
+
+class _DirectionColumns:
+    """The two counter columns a directional run materializes, under its
+    warmup kernel state's field names."""
+
+    __slots__ = ("rho_cw", "sigma_cw")
+
+    def __init__(self, rho: Any, sigma: Any) -> None:
+        self.rho_cw = rho
+        self.sigma_cw = sigma
+
+    def reset_node(self, rows: Any, node: int) -> None:
+        # Warmup fresh state after init: nothing received, one pulse sent.
+        self.rho_cw[rows, node] = 0
+        self.sigma_cw[rows, node] = 1
+
+
+class _FleetClauses:
+    """A :class:`FaultModel` compiled onto one fleet round loop.
+
+    The loop owns one ``flight`` column per *directional flight*
+    ``(direction, chan_base)`` in :attr:`flights`.  A deterministic or
+    group drop lands on the flight of its direction (and is ignored by a
+    loop without one), a crash empties the node on every flight, and
+    each flight rolls its random faults over channels ``chan_base + v``.
+    A restart reboots the node's columns (``cols.reset_node``) and
+    re-sends its init pulse on the first flight, toward ``node + shift``.
+
+    Each clause has one NumPy implementation (vectorised over the rows
+    of a ``[B, n]`` block) and one scalar twin (one global instance over
+    kernel states), applied in the same order with the same roll
+    coordinates; the fleet differential tests pin them bit-for-bit.
+    The bindings below supply the flights, the restart shift and the
+    corruption-field → column / state-attribute maps.
     """
 
     def __init__(
         self,
         model: FaultModel,
         n: int,
-        direction: str,
-        shift: int,
-        chan_base: int,
         algorithm: str,
+        flights: Tuple[Tuple[str, int], ...],
+        shift: int,
+        columns: Dict[str, str],
+        attrs: Dict[str, str],
     ) -> None:
-        self.model = model
-        self.n = n
-        self.direction = direction
-        self.shift = shift
-        self.chan_base = chan_base
         allowed = corruptible_fields(algorithm)
         for corruption in model.corruptions:
             if corruption.field not in allowed:
@@ -323,16 +362,24 @@ class DirectionFaults:
             _check_node(crash.node, n, "crash")
         for drop in model.drops:
             _check_node(drop.node, n, "pulse-drop")
-        self.drops = tuple(d for d in model.drops if d.direction == direction)
-        rho_field = "rho_cw" if direction == "cw" else "rho_ccw"
-        sigma_field = "sigma_cw" if direction == "cw" else "sigma_ccw"
-        self._owned = {rho_field: "rho", sigma_field: "sigma"}
-        self.corruptions = tuple(
-            c for c in model.corruptions if c.field in self._owned
-        )
-        self.groups = model.groups
         for group in model.groups:
             _check_node(group.anchor, n, "group anchor")
+        self.model = model
+        self.n = n
+        self.flights = flights
+        self.shift = shift
+        self._slot = {direction: i for i, (direction, _) in enumerate(flights)}
+        self._drops = tuple(
+            tuple(d for d in model.drops if d.direction == direction)
+            for direction, _ in flights
+        )
+        #: Corruptions of fields this loop does not materialize belong to
+        #: a twin adapter (the other half of Algorithm 3).
+        self._corruptions = tuple(
+            c for c in model.corruptions if c.field in columns
+        )
+        self._columns = columns
+        self._attrs = attrs
         #: Per-group fire rounds: lazily-allocated int64 ``[B]`` (0 =
         #: unfired) on the NumPy path, {global instance: fire} dicts on
         #: the scalar path.  Fire rounds are pure functions of each
@@ -348,98 +395,139 @@ class DirectionFaults:
         self.allow_skips = not (model.crashes or model.groups or model.crash_rate)
         self.events = _fresh_events()
 
-    # -- correlated-group lowering (np side) -----------------------------
+    # -- NumPy clauses ----------------------------------------------------
 
     def _np_groups_begin(
         self,
         np_mod: Any,
         round_index: int,
-        rho: Any,
-        sigma: Any,
+        cols: Any,
         live: Any,
         instance_offset: int,
         B: int,
-    ) -> Any:
-        """Advance per-row trigger state; returns the burst-window row
-        mask (bool ``[B]``) when the model carries group bursts, else
-        None.  Trigger fields are read *before* any clause mutates the
-        columns this round (same position in the scalar twin)."""
-        if not self.groups:
-            return None
+    ) -> Tuple[Any, List[Any]]:
+        """Advance per-row trigger state.  Returns the burst-window row
+        mask (bool ``[B]``, or None when the model has no group bursts)
+        and each group's fired-row mask.  Triggers read the columns
+        *before* any clause mutates them this round."""
         if self._group_fire_np is None:
             self._group_fire_np = [
-                np_mod.zeros(B, np_mod.int64) for _ in self.groups
+                np_mod.zeros(B, np_mod.int64) for _ in self.model.groups
             ]
         window = np_mod.zeros(B, bool) if self.model.has_group_bursts else None
-        for group, fire in zip(self.groups, self._group_fire_np):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
+        fired_masks = []
+        for group, fire in zip(self.model.groups, self._group_fire_np):
+            sel = _np_rows(np_mod, group.instance, live, instance_offset, B)
             unfired = fire == 0
             if group.at_round is not None:
                 newly = sel & unfired if round_index == group.at_round else None
             else:
-                vals = (rho if group.trigger_field == "rho" else sigma)[
-                    :, group.anchor
-                ]
-                newly = sel & unfired & (vals >= group.trigger_threshold)
+                column = getattr(cols, _TRIGGER_FIELDS[group.trigger_field])
+                newly = sel & unfired & (
+                    column[:, group.anchor] >= group.trigger_threshold
+                )
             if newly is not None and newly.any():
                 fire[newly] = round_index
-            if window is not None and group.burst is not None:
-                fired = sel & (fire > 0)
-                if fired.any():
-                    rel = round_index - fire + 1
-                    cov = rel >= group.burst.start
-                    if group.burst.length is not None:
-                        cov &= rel < group.burst.start + group.burst.length
-                    window |= fired & cov
-        return window
-
-    def _np_group_drops(
-        self,
-        np_mod: Any,
-        round_index: int,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
             fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            for drop in group.drops:
-                if drop.direction != self.direction:
-                    continue
-                rows = fired & (fire + drop.offset == round_index)
-                if not rows.any():
-                    continue
-                node = (group.anchor + drop.node_offset) % n
-                removed = np_mod.where(
-                    rows, np_mod.minimum(flight[:, node], drop.count), 0
-                )
-                flight[:, node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
+            fired_masks.append(fired)
+            if window is not None and group.burst is not None and fired.any():
+                rel = round_index - fire + 1
+                cov = rel >= group.burst.start
+                if group.burst.length is not None:
+                    cov &= rel < group.burst.start + group.burst.length
+                window |= fired & cov
+        return window, fired_masks
 
-    def _np_group_crashes(
+    def _np_take(
+        self, np_mod: Any, flight: Any, rows: Any, node: int, count: int
+    ) -> None:
+        """Delete up to ``count`` pulses in flight toward ``node``."""
+        removed = np_mod.where(rows, np_mod.minimum(flight[:, node], count), 0)
+        flight[:, node] -= removed
+        self.events["det_dropped"] += int(removed.sum())
+
+    def _np_down(self, flights: Tuple[Any, ...], where: Any) -> None:
+        """Down nodes absorb everything in flight toward them; ``where``
+        indexes the ``[B, n]`` flights (a row mask and node, or a mask)."""
+        for flight in flights:
+            self.events["crash_lost"] += int(flight[where].sum())
+            flight[where] = 0
+
+    def _np_restart(
         self,
         np_mod: Any,
-        round_index: int,
-        rho: Any,
-        sigma: Any,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
+        cols: Any,
+        flights: Tuple[Any, ...],
+        rows: Any,
+        node: int,
         extra: Any,
     ) -> Any:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            if not group.crash:
+        cols.reset_node(rows, node)
+        flights[0][rows, (node + self.shift) % self.n] += 1
+        self.events["restarts"] += int(rows.sum())
+        if extra is None:
+            extra = np_mod.zeros(len(rows), np_mod.int64)
+        extra[rows] += 1
+        return extra
+
+    def _apply_np(
+        self,
+        np_mod: Any,
+        round_index: int,
+        cols: Any,
+        flights: Tuple[Any, ...],
+        instance_offset: int,
+        live: Any,
+    ) -> Any:
+        model = self.model
+        B, n = flights[0].shape
+        extra = None
+        window, fired_masks = (
+            self._np_groups_begin(
+                np_mod, round_index, cols, live, instance_offset, B
+            )
+            if model.groups
+            else (None, [])
+        )
+        for drops, flight in zip(self._drops, flights):
+            for drop in drops:
+                if drop.round_index == round_index:
+                    rows = _np_rows(
+                        np_mod, drop.instance, live, instance_offset, B
+                    )
+                    self._np_take(np_mod, flight, rows, drop.node, drop.count)
+        fires = self._group_fire_np or ()
+        for group, fire, fired in zip(model.groups, fires, fired_masks):
+            if not group.drops or not fired.any():
                 continue
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
+            for group_drop in group.drops:
+                slot = self._slot.get(group_drop.direction)
+                if slot is None:
+                    continue
+                rows = fired & (fire + group_drop.offset == round_index)
+                if rows.any():
+                    node = (group.anchor + group_drop.node_offset) % n
+                    self._np_take(
+                        np_mod, flights[slot], rows, node, group_drop.count
+                    )
+        for crash in model.crashes:
+            rows = _np_rows(np_mod, crash.instance, live, instance_offset, B)
+            if not rows.any():
+                continue
+            if crash.down(round_index):
+                self._np_down(flights, (rows, crash.node))
+            elif crash.restarts_at(round_index):
+                extra = self._np_restart(
+                    np_mod, cols, flights, rows, crash.node, extra
+                )
+        if model.crash_rate:
+            if self._rate_mask_np is None:
+                self._rate_mask_np = _np_rate_mask(
+                    np_mod, model, instance_offset, B, n
+                )
+            self._np_down(flights, self._rate_mask_np & live[:, None])
+        for group, fire, fired in zip(model.groups, fires, fired_masks):
+            if not group.crash or not fired.any():
                 continue
             if group.restart_after is None:
                 down = fired
@@ -448,130 +536,180 @@ class DirectionFaults:
                 down = fired & (round_index < fire + group.restart_after)
                 restart = fired & (round_index == fire + group.restart_after)
             if down.any():
-                lost = np_mod.where(down, flight[:, group.anchor], 0)
-                self.events["crash_lost"] += int(lost.sum())
-                flight[down, group.anchor] = 0
+                self._np_down(flights, (down, group.anchor))
             if restart is not None and restart.any():
-                rho[restart, group.anchor] = 0
-                sigma[restart, group.anchor] = 1
-                flight[restart, (group.anchor + self.shift) % n] += 1
-                self.events["restarts"] += int(restart.sum())
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[restart] += 1
-        return extra
-
-    def _np_crash_rate(
-        self,
-        np_mod: Any,
-        flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        if self._rate_mask_np is None:
-            self._rate_mask_np = _np_rate_mask(
-                np_mod, self.model, instance_offset, B, n
+                extra = self._np_restart(
+                    np_mod, cols, flights, restart, group.anchor, extra
+                )
+        for flight, (_, chan_base) in zip(flights, self.flights):
+            _apply_random_np(
+                np_mod, model, self.events, round_index, flight,
+                instance_offset, chan_base, live, window,
             )
-        dead = self._rate_mask_np & live[:, None]
-        lost = np_mod.where(dead, flight, 0)
-        self.events["crash_lost"] += int(lost.sum())
-        flight[dead] = 0
+        for corruption in self._corruptions:
+            if corruption.at_round == round_index:
+                rows = _np_rows(
+                    np_mod, corruption.instance, live, instance_offset, B
+                )
+                column = getattr(cols, self._columns[corruption.field])
+                column[rows, corruption.node] = corruption.value
+                self.events["corruptions"] += int(rows.sum())
+        return 0 if extra is None else extra
 
-    # -- correlated-group lowering (scalar twin) -------------------------
+    # -- scalar twins -------------------------------------------------------
 
     def _py_groups_begin(
         self, round_index: int, instance: int, states: List[Any]
-    ) -> Any:
-        """Scalar twin of :meth:`_np_groups_begin` for one instance."""
-        if not self.groups:
-            return None
+    ) -> Tuple[Any, List[int]]:
+        """Scalar twin of :meth:`_np_groups_begin` for one instance: the
+        burst gate (bool, or None) and each group's fire round (0 when
+        unfired or aimed at another instance)."""
         window = False if self.model.has_group_bursts else None
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
+        fires = []
+        for group, fire_rounds in zip(self.model.groups, self._group_fire_py):
+            if not _aims_at(group, instance):
+                fires.append(0)
                 continue
-            fire = self._group_fire_py[i].get(instance, 0)
+            fire = fire_rounds.get(instance, 0)
             if fire == 0:
                 if group.at_round is not None:
                     if round_index == group.at_round:
                         fire = round_index
                 else:
-                    attr = (
-                        "rho_cw" if group.trigger_field == "rho" else "sigma_cw"
-                    )
+                    attr = _TRIGGER_FIELDS[group.trigger_field]
                     if getattr(states[group.anchor], attr) >= group.trigger_threshold:
                         fire = round_index
                 if fire:
-                    self._group_fire_py[i][instance] = fire
+                    fire_rounds[instance] = fire
+            fires.append(fire)
             if window is not None and fire and group.burst_active(round_index, fire):
                 window = True
-        return window
+        return window, fires
 
-    def _py_group_drops(
-        self, round_index: int, instance: int, flight: List[int]
-    ) -> None:
-        n = self.n
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            for drop in group.drops:
-                if drop.direction != self.direction:
-                    continue
-                if fire + drop.offset != round_index:
-                    continue
-                node = (group.anchor + drop.node_offset) % n
-                removed = min(flight[node], drop.count)
-                flight[node] -= removed
-                self.events["det_dropped"] += removed
+    def _py_take(self, flight: List[int], node: int, count: int) -> None:
+        removed = min(flight[node], count)
+        flight[node] -= removed
+        self.events["det_dropped"] += removed
 
-    def _py_group_crashes(
+    def _py_down(self, flights: Tuple[List[int], ...], node: int) -> None:
+        for flight in flights:
+            self.events["crash_lost"] += flight[node]
+            flight[node] = 0
+
+    def _py_restart(
+        self,
+        node: int,
+        gov: List[int],
+        states: List[Any],
+        flights: Tuple[List[int], ...],
+        kernel: Any,
+        out_leader: Optional[List[bool]],
+    ) -> int:
+        states[node] = kernel.make_state(gov[node])
+        _, emissions, _ = kernel.init(states[node])
+        sent = 0
+        for _port, cnt in emissions:
+            flights[0][(node + self.shift) % self.n] += cnt
+            sent += cnt
+        if out_leader is not None:
+            out_leader[node] = False
+        self.events["restarts"] += 1
+        return sent
+
+    def _apply_py(
         self,
         round_index: int,
         instance: int,
         gov: List[int],
         states: List[Any],
-        flight: List[int],
+        flights: Tuple[List[int], ...],
         kernel: Any,
+        out_leader: Optional[List[bool]] = None,
     ) -> int:
+        model = self.model
         n = self.n
         extra = 0
-        for i, group in enumerate(self.groups):
-            if not group.crash:
-                continue
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
+        window, fires = (
+            self._py_groups_begin(round_index, instance, states)
+            if model.groups
+            else (None, [])
+        )
+        for drops, flight in zip(self._drops, flights):
+            for drop in drops:
+                if drop.round_index == round_index and _aims_at(drop, instance):
+                    self._py_take(flight, drop.node, drop.count)
+        for group, fire in zip(model.groups, fires):
             if not fire:
                 continue
+            for group_drop in group.drops:
+                slot = self._slot.get(group_drop.direction)
+                if slot is not None and fire + group_drop.offset == round_index:
+                    node = (group.anchor + group_drop.node_offset) % n
+                    self._py_take(flights[slot], node, group_drop.count)
+        for crash in model.crashes:
+            if not _aims_at(crash, instance):
+                continue
+            if crash.down(round_index):
+                self._py_down(flights, crash.node)
+            elif crash.restarts_at(round_index):
+                extra += self._py_restart(
+                    crash.node, gov, states, flights, kernel, out_leader
+                )
+        if model.crash_rate:
+            mask = self._rate_mask_py.get(instance)
+            if mask is None:
+                mask = _py_rate_mask(model, instance, n)
+                self._rate_mask_py[instance] = mask
+            for v in range(n):
+                if mask[v]:
+                    self._py_down(flights, v)
+        for group, fire in zip(model.groups, fires):
+            if not (group.crash and fire):
+                continue
             if group.down(round_index, fire):
-                self.events["crash_lost"] += flight[group.anchor]
-                flight[group.anchor] = 0
+                self._py_down(flights, group.anchor)
             elif group.restarts_at(round_index, fire):
-                states[group.anchor] = kernel.make_state(gov[group.anchor])
-                _, emissions, _ = kernel.init(states[group.anchor])
-                for _port, cnt in emissions:
-                    flight[(group.anchor + self.shift) % n] += cnt
-                    extra += cnt
-                self.events["restarts"] += 1
+                extra += self._py_restart(
+                    group.anchor, gov, states, flights, kernel, out_leader
+                )
+        for flight, (_, chan_base) in zip(flights, self.flights):
+            _apply_random_py(
+                model, self.events, round_index, flight, instance, chan_base,
+                window,
+            )
+        for corruption in self._corruptions:
+            if corruption.at_round == round_index and _aims_at(
+                corruption, instance
+            ):
+                attr = self._attrs[corruption.field]
+                setattr(states[corruption.node], attr, corruption.value)
+                self.events["corruptions"] += 1
         return extra
 
-    def _py_crash_rate(self, instance: int, flight: List[int]) -> None:
-        if not self.model.crash_rate:
-            return
-        mask = self._rate_mask_py.get(instance)
-        if mask is None:
-            mask = _py_rate_mask(self.model, instance, self.n)
-            self._rate_mask_py[instance] = mask
-        for v in range(self.n):
-            if mask[v]:
-                self.events["crash_lost"] += flight[v]
-                flight[v] = 0
+
+class DirectionFaults(_FleetClauses):
+    """A :class:`FaultModel` compiled onto one directional warmup-kernel
+    fleet run (Algorithm 1, or one half of Algorithm 3): one flight
+    ``(direction, chan_base)`` whose sends fly toward ``v + shift``.
+
+    The run materializes only its own direction's ``rho`` and ``sigma``,
+    so corruption clauses naming the *other* direction's fields are
+    owned by the twin adapter (the caller compiles one per direction).
+    """
+
+    def __init__(
+        self,
+        model: FaultModel,
+        n: int,
+        direction: str,
+        shift: int,
+        chan_base: int,
+        algorithm: str,
+    ) -> None:
+        owned = {f"rho_{direction}": "rho_cw", f"sigma_{direction}": "sigma_cw"}
+        super().__init__(
+            model, n, algorithm, ((direction, chan_base),), shift, owned, owned
+        )
 
     def apply_np(
         self,
@@ -589,75 +727,10 @@ class DirectionFaults:
         ``live`` is a bool ``[B]`` mask of rows that have not yet
         quiesced; quiesced rows are frozen (the pure-Python twin's
         per-instance loop has already exited for them)."""
-        B, n = flight.shape
-        extra = None
-        window = self._np_groups_begin(
-            np_mod, round_index, rho, sigma, live, instance_offset, B
+        return self._apply_np(
+            np_mod, round_index, _DirectionColumns(rho, sigma), (flight,),
+            instance_offset, live,
         )
-        for drop in self.drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None:
-                removed = np_mod.where(
-                    live, np_mod.minimum(flight[:, drop.node], drop.count), 0
-                )
-                flight[:, drop.node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-            else:
-                row = drop.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    removed = min(int(flight[row, drop.node]), drop.count)
-                    flight[row, drop.node] -= removed
-                    self.events["det_dropped"] += removed
-        self._np_group_drops(
-            np_mod, round_index, flight, live, instance_offset, B, n
-        )
-        for crash in self.model.crashes:
-            if crash.instance is None:
-                rows: Any = live
-                count = int(np_mod.sum(live))
-            else:
-                row = crash.instance - instance_offset
-                if not (0 <= row < B and live[row]):
-                    continue
-                rows = row
-                count = 1
-            if count == 0:
-                continue
-            if crash.down(round_index):
-                lost = flight[rows, crash.node]
-                self.events["crash_lost"] += int(np_mod.sum(lost))
-                flight[rows, crash.node] = 0
-            elif crash.restarts_at(round_index):
-                rho[rows, crash.node] = 0
-                sigma[rows, crash.node] = 1
-                flight[rows, (crash.node + self.shift) % n] += 1
-                self.events["restarts"] += count
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[rows] += 1
-        self._np_crash_rate(np_mod, flight, live, instance_offset, B, n)
-        extra = self._np_group_crashes(
-            np_mod, round_index, rho, sigma, flight, live, instance_offset,
-            B, n, extra,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, flight,
-            instance_offset, self.chan_base, live, window,
-        )
-        for corruption in self.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            target = rho if self._owned[corruption.field] == "rho" else sigma
-            if corruption.instance is None:
-                target[live, corruption.node] = corruption.value
-                self.events["corruptions"] += int(np_mod.sum(live))
-            else:
-                row = corruption.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    target[row, corruption.node] = corruption.value
-                    self.events["corruptions"] += 1
-        return 0 if extra is None else extra
 
     def apply_py(
         self,
@@ -670,50 +743,7 @@ class DirectionFaults:
     ) -> int:
         """Scalar twin of :meth:`apply_np` for global ``instance``;
         returns the number of extra pulses sent (restart re-inits)."""
-        n = self.n
-        extra = 0
-        window = self._py_groups_begin(round_index, instance, states)
-        for drop in self.drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None or drop.instance == instance:
-                removed = min(flight[drop.node], drop.count)
-                flight[drop.node] -= removed
-                self.events["det_dropped"] += removed
-        self._py_group_drops(round_index, instance, flight)
-        for crash in self.model.crashes:
-            if crash.instance is not None and crash.instance != instance:
-                continue
-            if crash.down(round_index):
-                self.events["crash_lost"] += flight[crash.node]
-                flight[crash.node] = 0
-            elif crash.restarts_at(round_index):
-                states[crash.node] = kernel.make_state(gov[crash.node])
-                _, emissions, _ = kernel.init(states[crash.node])
-                for _port, cnt in emissions:
-                    flight[(crash.node + self.shift) % n] += cnt
-                    extra += cnt
-                self.events["restarts"] += 1
-        self._py_crash_rate(instance, flight)
-        extra += self._py_group_crashes(
-            round_index, instance, gov, states, flight, kernel
-        )
-        _apply_random_py(
-            self.model, self.events, round_index, flight, instance,
-            self.chan_base, window,
-        )
-        for corruption in self.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            if corruption.instance is None or corruption.instance == instance:
-                attr = (
-                    "rho_cw"
-                    if self._owned[corruption.field] == "rho"
-                    else "sigma_cw"
-                )
-                setattr(states[corruption.node], attr, corruption.value)
-                self.events["corruptions"] += 1
-        return extra
+        return self._apply_py(round_index, instance, gov, states, (flight,), kernel)
 
 
 #: Terminating-kernel column spellings for corruptible schema fields.
@@ -727,311 +757,18 @@ _TERMINATING_COLS = {
 }
 
 
-class TerminatingFaults:
+class TerminatingFaults(_FleetClauses):
     """A :class:`FaultModel` compiled onto the terminating fleet run
     (Algorithm 2: both directions in one round loop, CW channels at
     indices ``[0, n)`` and CCW at ``[n, 2n)`` — the seeded scheduler's
-    layout)."""
+    layout).  A restart reboots every state column and re-sends the
+    kernel's CW init pulse."""
 
     def __init__(self, model: FaultModel, n: int) -> None:
-        self.model = model
-        self.n = n
-        allowed = corruptible_fields("terminating")
-        for corruption in model.corruptions:
-            if corruption.field not in allowed:
-                raise ConfigurationError(
-                    f"cannot corrupt field {corruption.field!r} of algorithm "
-                    f"'terminating'; schema-validated targets: {list(allowed)}"
-                )
-            _check_node(corruption.node, n, "corruption")
-        for crash in model.crashes:
-            _check_node(crash.node, n, "crash")
-        for drop in model.drops:
-            _check_node(drop.node, n, "pulse-drop")
-        self.cw_drops = tuple(d for d in model.drops if d.direction == "cw")
-        self.ccw_drops = tuple(d for d in model.drops if d.direction == "ccw")
-        self.groups = model.groups
-        for group in model.groups:
-            _check_node(group.anchor, n, "group anchor")
-        self._group_fire_np: Optional[List[Any]] = None
-        self._group_fire_py: List[Dict[int, int]] = [{} for _ in model.groups]
-        self._rate_mask_np: Any = None
-        self._rate_mask_py: Dict[int, List[bool]] = {}
-        self.allow_skips = not (model.crashes or model.groups or model.crash_rate)
-        self.events = _fresh_events()
-
-    # -- correlated-group lowering (np side; trigger fields read from the
-    # terminating run's primary-direction columns rho_cw/sigma_cw) ------
-
-    def _np_groups_begin(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cols: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-    ) -> Any:
-        if not self.groups:
-            return None
-        if self._group_fire_np is None:
-            self._group_fire_np = [
-                np_mod.zeros(B, np_mod.int64) for _ in self.groups
-            ]
-        window = np_mod.zeros(B, bool) if self.model.has_group_bursts else None
-        for group, fire in zip(self.groups, self._group_fire_np):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            unfired = fire == 0
-            if group.at_round is not None:
-                newly = sel & unfired if round_index == group.at_round else None
-            else:
-                source = (
-                    cols.rho_cw if group.trigger_field == "rho" else cols.sigma_cw
-                )
-                vals = source[:, group.anchor]
-                newly = sel & unfired & (vals >= group.trigger_threshold)
-            if newly is not None and newly.any():
-                fire[newly] = round_index
-            if window is not None and group.burst is not None:
-                fired = sel & (fire > 0)
-                if fired.any():
-                    rel = round_index - fire + 1
-                    cov = rel >= group.burst.start
-                    if group.burst.length is not None:
-                        cov &= rel < group.burst.start + group.burst.length
-                    window |= fired & cov
-        return window
-
-    def _np_group_drops(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            for drop in group.drops:
-                rows = fired & (fire + drop.offset == round_index)
-                if not rows.any():
-                    continue
-                flight = cw_flight if drop.direction == "cw" else ccw_flight
-                node = (group.anchor + drop.node_offset) % n
-                removed = np_mod.where(
-                    rows, np_mod.minimum(flight[:, node], drop.count), 0
-                )
-                flight[:, node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-
-    def _np_group_crashes(
-        self,
-        np_mod: Any,
-        round_index: int,
-        cols: Any,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-        extra: Any,
-    ) -> Any:
-        for group, fire in zip(self.groups, self._group_fire_np or ()):
-            if not group.crash:
-                continue
-            sel = _np_group_sel(np_mod, group, live, instance_offset, B)
-            fired = sel & (fire > 0)
-            if not fired.any():
-                continue
-            if group.restart_after is None:
-                down = fired
-                restart = None
-            else:
-                down = fired & (round_index < fire + group.restart_after)
-                restart = fired & (round_index == fire + group.restart_after)
-            if down.any():
-                lost = np_mod.where(
-                    down,
-                    cw_flight[:, group.anchor] + ccw_flight[:, group.anchor],
-                    0,
-                )
-                self.events["crash_lost"] += int(lost.sum())
-                cw_flight[down, group.anchor] = 0
-                ccw_flight[down, group.anchor] = 0
-            if restart is not None and restart.any():
-                cols.rho_cw[restart, group.anchor] = 0
-                cols.rho_ccw[restart, group.anchor] = 0
-                cols.pend_cw[restart, group.anchor] = 0
-                cols.pend_ccw[restart, group.anchor] = 0
-                cols.sigma_cw[restart, group.anchor] = 1
-                cols.sigma_ccw[restart, group.anchor] = 0
-                cols.term_sent[restart, group.anchor] = False
-                cols.terminated[restart, group.anchor] = False
-                cols.out_leader[restart, group.anchor] = False
-                cw_flight[restart, (group.anchor + 1) % n] += 1
-                self.events["restarts"] += int(restart.sum())
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[restart] += 1
-        return extra
-
-    def _np_crash_rate(
-        self,
-        np_mod: Any,
-        cw_flight: Any,
-        ccw_flight: Any,
-        live: Any,
-        instance_offset: int,
-        B: int,
-        n: int,
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        if self._rate_mask_np is None:
-            self._rate_mask_np = _np_rate_mask(
-                np_mod, self.model, instance_offset, B, n
-            )
-        dead = self._rate_mask_np & live[:, None]
-        lost = np_mod.where(dead, cw_flight + ccw_flight, 0)
-        self.events["crash_lost"] += int(lost.sum())
-        cw_flight[dead] = 0
-        ccw_flight[dead] = 0
-
-    # -- correlated-group lowering (scalar twin) -------------------------
-
-    def _py_groups_begin(
-        self, round_index: int, instance: int, states: List[Any]
-    ) -> Any:
-        if not self.groups:
-            return None
-        window = False if self.model.has_group_bursts else None
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if fire == 0:
-                if group.at_round is not None:
-                    if round_index == group.at_round:
-                        fire = round_index
-                else:
-                    attr = (
-                        "rho_cw" if group.trigger_field == "rho" else "sigma_cw"
-                    )
-                    if getattr(states[group.anchor], attr) >= group.trigger_threshold:
-                        fire = round_index
-                if fire:
-                    self._group_fire_py[i][instance] = fire
-            if window is not None and fire and group.burst_active(round_index, fire):
-                window = True
-        return window
-
-    def _py_group_drops(
-        self,
-        round_index: int,
-        instance: int,
-        cw_flight: List[int],
-        ccw_flight: List[int],
-    ) -> None:
-        n = self.n
-        for i, group in enumerate(self.groups):
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            for drop in group.drops:
-                if fire + drop.offset != round_index:
-                    continue
-                flight = cw_flight if drop.direction == "cw" else ccw_flight
-                node = (group.anchor + drop.node_offset) % n
-                removed = min(flight[node], drop.count)
-                flight[node] -= removed
-                self.events["det_dropped"] += removed
-
-    def _py_group_crashes(
-        self,
-        round_index: int,
-        instance: int,
-        ids: List[int],
-        states: List[Any],
-        out_leader: List[bool],
-        cw_flight: List[int],
-        ccw_flight: List[int],
-        kernel: Any,
-    ) -> int:
-        n = self.n
-        extra = 0
-        for i, group in enumerate(self.groups):
-            if not group.crash:
-                continue
-            if group.instance is not None and group.instance != instance:
-                continue
-            fire = self._group_fire_py[i].get(instance, 0)
-            if not fire:
-                continue
-            if group.down(round_index, fire):
-                self.events["crash_lost"] += (
-                    cw_flight[group.anchor] + ccw_flight[group.anchor]
-                )
-                cw_flight[group.anchor] = 0
-                ccw_flight[group.anchor] = 0
-            elif group.restarts_at(round_index, fire):
-                states[group.anchor] = kernel.make_state(ids[group.anchor])
-                _, emissions, _ = kernel.init(states[group.anchor])
-                for _port, cnt in emissions:
-                    cw_flight[(group.anchor + 1) % n] += cnt
-                    extra += cnt
-                out_leader[group.anchor] = False
-                self.events["restarts"] += 1
-        return extra
-
-    def _py_crash_rate(
-        self, instance: int, cw_flight: List[int], ccw_flight: List[int]
-    ) -> None:
-        if not self.model.crash_rate:
-            return
-        mask = self._rate_mask_py.get(instance)
-        if mask is None:
-            mask = _py_rate_mask(self.model, instance, self.n)
-            self._rate_mask_py[instance] = mask
-        for v in range(self.n):
-            if mask[v]:
-                self.events["crash_lost"] += cw_flight[v] + ccw_flight[v]
-                cw_flight[v] = 0
-                ccw_flight[v] = 0
-
-    def _det_drops_np(
-        self,
-        np_mod: Any,
-        drops: Tuple[Any, ...],
-        round_index: int,
-        flight: Any,
-        instance_offset: int,
-        live: Any,
-    ) -> None:
-        B = flight.shape[0]
-        for drop in drops:
-            if drop.round_index != round_index:
-                continue
-            if drop.instance is None:
-                removed = np_mod.where(
-                    live, np_mod.minimum(flight[:, drop.node], drop.count), 0
-                )
-                flight[:, drop.node] -= removed
-                self.events["det_dropped"] += int(removed.sum())
-            else:
-                row = drop.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    removed = min(int(flight[row, drop.node]), drop.count)
-                    flight[row, drop.node] -= removed
-                    self.events["det_dropped"] += removed
+        super().__init__(
+            model, n, "terminating", (("cw", 0), ("ccw", n)), +1,
+            _TERMINATING_COLS, {field: field for field in _TERMINATING_COLS},
+        )
 
     def apply_np(
         self,
@@ -1048,83 +785,10 @@ class TerminatingFaults:
 
         ``live`` freezes already-quiesced rows, matching the pure-Python
         per-instance loop exit (see :meth:`DirectionFaults.apply_np`)."""
-        B, n = cw_flight.shape
-        extra = None
-        window = self._np_groups_begin(
-            np_mod, round_index, cols, live, instance_offset, B
+        return self._apply_np(
+            np_mod, round_index, cols, (cw_flight, ccw_flight),
+            instance_offset, live,
         )
-        self._det_drops_np(
-            np_mod, self.cw_drops, round_index, cw_flight, instance_offset, live
-        )
-        self._det_drops_np(
-            np_mod, self.ccw_drops, round_index, ccw_flight, instance_offset, live
-        )
-        self._np_group_drops(
-            np_mod, round_index, cw_flight, ccw_flight, live, instance_offset,
-            B, n,
-        )
-        for crash in self.model.crashes:
-            if crash.instance is None:
-                rows: Any = live
-                count = int(np_mod.sum(live))
-            else:
-                row = crash.instance - instance_offset
-                if not (0 <= row < B and live[row]):
-                    continue
-                rows = row
-                count = 1
-            if count == 0:
-                continue
-            if crash.down(round_index):
-                lost = cw_flight[rows, crash.node] + ccw_flight[rows, crash.node]
-                self.events["crash_lost"] += int(np_mod.sum(lost))
-                cw_flight[rows, crash.node] = 0
-                ccw_flight[rows, crash.node] = 0
-            elif crash.restarts_at(round_index):
-                # Fresh-state reset (TerminatingColumns.fresh semantics for
-                # one node) + the kernel init pulse on the CW channel.
-                cols.rho_cw[rows, crash.node] = 0
-                cols.rho_ccw[rows, crash.node] = 0
-                cols.pend_cw[rows, crash.node] = 0
-                cols.pend_ccw[rows, crash.node] = 0
-                cols.sigma_cw[rows, crash.node] = 1
-                cols.sigma_ccw[rows, crash.node] = 0
-                cols.term_sent[rows, crash.node] = False
-                cols.terminated[rows, crash.node] = False
-                cols.out_leader[rows, crash.node] = False
-                cw_flight[rows, (crash.node + 1) % n] += 1
-                self.events["restarts"] += count
-                if extra is None:
-                    extra = np_mod.zeros(B, np_mod.int64)
-                extra[rows] += 1
-        self._np_crash_rate(
-            np_mod, cw_flight, ccw_flight, live, instance_offset, B, n
-        )
-        extra = self._np_group_crashes(
-            np_mod, round_index, cols, cw_flight, ccw_flight, live,
-            instance_offset, B, n, extra,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, cw_flight,
-            instance_offset, 0, live, window,
-        )
-        _apply_random_np(
-            np_mod, self.model, self.events, round_index, ccw_flight,
-            instance_offset, n, live, window,
-        )
-        for corruption in self.model.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            target = getattr(cols, _TERMINATING_COLS[corruption.field])
-            if corruption.instance is None:
-                target[live, corruption.node] = corruption.value
-                self.events["corruptions"] += int(np_mod.sum(live))
-            else:
-                row = corruption.instance - instance_offset
-                if 0 <= row < B and live[row]:
-                    target[row, corruption.node] = corruption.value
-                    self.events["corruptions"] += 1
-        return 0 if extra is None else extra
 
     def apply_py(
         self,
@@ -1138,56 +802,7 @@ class TerminatingFaults:
         kernel: Any,
     ) -> int:
         """Scalar twin of :meth:`apply_np` for global ``instance``."""
-        n = self.n
-        extra = 0
-        window = self._py_groups_begin(round_index, instance, states)
-        for drops, flight in ((self.cw_drops, cw_flight), (self.ccw_drops, ccw_flight)):
-            for drop in drops:
-                if drop.round_index != round_index:
-                    continue
-                if drop.instance is None or drop.instance == instance:
-                    removed = min(flight[drop.node], drop.count)
-                    flight[drop.node] -= removed
-                    self.events["det_dropped"] += removed
-        self._py_group_drops(round_index, instance, cw_flight, ccw_flight)
-        for crash in self.model.crashes:
-            if crash.instance is not None and crash.instance != instance:
-                continue
-            if crash.down(round_index):
-                self.events["crash_lost"] += (
-                    cw_flight[crash.node] + ccw_flight[crash.node]
-                )
-                cw_flight[crash.node] = 0
-                ccw_flight[crash.node] = 0
-            elif crash.restarts_at(round_index):
-                states[crash.node] = kernel.make_state(ids[crash.node])
-                _, emissions, _ = kernel.init(states[crash.node])
-                for _port, cnt in emissions:
-                    # The terminating kernel's init emits on the CW send
-                    # port only; route accordingly.
-                    cw_flight[(crash.node + 1) % n] += cnt
-                    extra += cnt
-                out_leader[crash.node] = False
-                self.events["restarts"] += 1
-        self._py_crash_rate(instance, cw_flight, ccw_flight)
-        extra += self._py_group_crashes(
-            round_index, instance, ids, states, out_leader, cw_flight,
-            ccw_flight, kernel,
+        return self._apply_py(
+            round_index, instance, ids, states, (cw_flight, ccw_flight),
+            kernel, out_leader,
         )
-        _apply_random_py(
-            self.model, self.events, round_index, cw_flight, instance, 0,
-            window,
-        )
-        _apply_random_py(
-            self.model, self.events, round_index, ccw_flight, instance, n,
-            window,
-        )
-        for corruption in self.model.corruptions:
-            if corruption.at_round != round_index:
-                continue
-            if corruption.instance is None or corruption.instance == instance:
-                setattr(
-                    states[corruption.node], corruption.field, corruption.value
-                )
-                self.events["corruptions"] += 1
-        return extra

@@ -53,8 +53,9 @@ Two fleet schedulers are provided:
 Statistical-checking hooks (:mod:`repro.verification.statistical`): the
 terminating fleet accepts an ``observer`` called with a
 :class:`FleetRoundView` after every round (post-drain, post-flight
-update) and a :class:`FleetFault` that removes in-flight pulses at the
-start of a chosen round — a seed-reproducible "lost pulse" whose
+update) and a :class:`~repro.faults.model.FaultModel` whose clauses
+(e.g. a :class:`~repro.faults.model.PulseDrop` removing in-flight pulses
+at the start of a chosen round) are seed-reproducible faults whose
 downstream invariant violations the checker must catch.
 
 Backends.  ``backend="compiled"`` runs the numba-JIT per-instance loops
@@ -232,30 +233,16 @@ class FleetResult:
         ]
 
 
-# The deterministic in-flight pulse loss moved into the unified fault
-# model; ``FleetFault`` remains the fleet's historical name for it.
 from repro.faults.fleet import merge_events as _merge_fault_events  # noqa: E402
 from repro.faults.model import FaultModel  # noqa: E402
-from repro.faults.model import PulseDrop as FleetFault  # noqa: E402
 
 
-def _fault_adapters(fault, n, algorithm):
-    """Normalize the ``fault`` argument of the fleet entry points.
-
-    Accepts None, a single :class:`FleetFault` (historical), or a full
-    :class:`~repro.faults.model.FaultModel`; returns the per-direction
-    compiler(s) for ``algorithm`` or None for a no-op.
-    """
+def _fault_adapters(model, n, algorithm):
+    """Compile the ``faults`` argument of the fleet entry points: the
+    per-direction compiler(s) for ``algorithm``, or None for a no-op."""
     from repro.faults.fleet import DirectionFaults, TerminatingFaults
 
-    if fault is None:
-        return None
-    model = (
-        fault
-        if isinstance(fault, FaultModel)
-        else FaultModel(drops=(fault,))
-    )
-    if model.is_noop:
+    if model is None or model.is_noop:
         return None
     if algorithm == "terminating":
         return TerminatingFaults(model, n)
@@ -649,9 +636,9 @@ def run_warmup_fleet(
             ``"seeded"`` (per-instance pseudo-random channel subsets).
         seed: Stream seed for the seeded scheduler.
         max_rounds: Safety bound on fleet rounds.
-        faults: Optional :class:`~repro.faults.model.FaultModel` (or a
-            single :class:`FleetFault`) applied at the start of every
-            round; fault rolls key on the global instance index.
+        faults: Optional :class:`~repro.faults.model.FaultModel` applied
+            at the start of every round; fault rolls key on the global
+            instance index.
         observer: Per-round statistical hook (direction data appears in
             the CW slots of the view; ``ids`` are governing thresholds).
         instance_offset: Global index of the first instance (sharding).
@@ -810,7 +797,7 @@ def _np_terminating(
     seed,
     max_rounds,
     observer=None,
-    fault=None,
+    faults=None,
     instance_offset=0,
     watchdog=None,
 ):
@@ -831,8 +818,8 @@ def _np_terminating(
     rounds = 0
     skips = 0
     while True:
-        if fault is not None:
-            total += fault.apply_np(
+        if faults is not None:
+            total += faults.apply_np(
                 _np, rounds + 1, cols, cw_flight, ccw_flight, instance_offset,
                 live=~done,
             )
@@ -849,7 +836,7 @@ def _np_terminating(
         _limit(rounds, max_rounds)
         if scheduler == "lockstep":
             skippable = ~cols.term_sent.any(axis=1) & ~cols.terminated.any(axis=1)
-            if fault is not None and not fault.allow_skips:
+            if faults is not None and not faults.allow_skips:
                 skippable &= False
             phase_cw = k_cw > 0
             phase_ccw = ~phase_cw & (k_ccw > 0)
@@ -857,7 +844,7 @@ def _np_terminating(
             if cand.any():
                 margin = kernel.cw_skip_margins_np(_np, ids, cols.rho_cw)
                 mmin = margin.min(axis=1)
-                if fault is not None:
+                if faults is not None:
                     # Under injection every node may sit past threshold
                     # (infinite relay; the watchdog cuts it) — suppress
                     # the skip so the sentinel cannot overflow.
@@ -997,7 +984,7 @@ def _py_terminating_one(
     max_rounds,
     instance,
     observer=None,
-    fault=None,
+    faults=None,
     instance_offset=0,
     watchdog=None,
 ):
@@ -1045,8 +1032,8 @@ def _py_terminating_one(
     rounds = 0
     skips = 0
     while True:
-        if fault is not None:
-            total += fault.apply_py(
+        if faults is not None:
+            total += faults.apply_py(
                 rounds + 1,
                 instance_offset + instance,
                 ids,
@@ -1069,7 +1056,7 @@ def _py_terminating_one(
             skippable = not any(st.term_pulse_sent for st in states) and not any(
                 st.terminated for st in states
             )
-            if fault is not None and not fault.allow_skips:
+            if faults is not None and not faults.allow_skips:
                 skippable = False
             if skippable and k_cw > 0:
                 margins = [
@@ -1077,7 +1064,7 @@ def _py_terminating_one(
                 ]
                 margins = [_MARGIN_INF if m is None else m for m in margins]
                 mmin = min(margins)
-                if fault is not None and mmin >= _MARGIN_INF:
+                if faults is not None and mmin >= _MARGIN_INF:
                     # All nodes past threshold: infinite relay loop (the
                     # watchdog cuts it); no legal skip (NumPy twin).
                     mmin = 0
@@ -1190,7 +1177,7 @@ def run_terminating_fleet(
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     observer: Optional[FleetObserver] = None,
-    fault: Optional[Any] = None,
+    faults: Optional[FaultModel] = None,
     instance_offset: int = 0,
     watchdog_rounds: Optional[int] = None,
 ) -> FleetResult:
@@ -1202,9 +1189,8 @@ def run_terminating_fleet(
     :func:`run_warmup_fleet` for the shared parameters.
 
     Statistical-checking hooks: ``observer`` is called with a
-    :class:`FleetRoundView` after every round; ``fault`` accepts a full
-    :class:`~repro.faults.model.FaultModel` or a single
-    :class:`FleetFault` (historical); ``instance_offset`` shifts the
+    :class:`FleetRoundView` after every round; ``faults`` is an optional
+    :class:`~repro.faults.model.FaultModel`; ``instance_offset`` shifts the
     global instance indices reported to both (sharded runs);
     ``watchdog_rounds`` bounds stuck runs (see :func:`run_warmup_fleet`).
     """
@@ -1213,7 +1199,7 @@ def run_terminating_fleet(
     _check_scheduler(scheduler)
     resolved = _resolve_backend(backend)
     _, n = _check_fleet(id_lists, unique=True)
-    adapter = _fault_adapters(fault, n, "terminating")
+    adapter = _fault_adapters(faults, n, "terminating")
     watchdog = _auto_watchdog(watchdog_rounds, adapter, n)
     resolved = _compiled_downgrade(resolved, observer, adapter)
     if resolved == "compiled":
@@ -1247,7 +1233,7 @@ def run_terminating_fleet(
             seed,
             max_rounds,
             observer=observer,
-            fault=adapter,
+            faults=adapter,
             instance_offset=instance_offset,
             watchdog=watchdog,
         )
@@ -1274,7 +1260,7 @@ def run_terminating_fleet(
                     max_rounds,
                     b,
                     observer=observer,
-                    fault=adapter,
+                    faults=adapter,
                     instance_offset=instance_offset,
                     watchdog=watchdog,
                 )

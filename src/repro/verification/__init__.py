@@ -30,7 +30,6 @@ certification (e.g. Theorem 1's :math:`n(2\\cdot\\mathsf{ID}_{max}+1)`).
 
 from repro.verification.common import (
     EngineView,
-    FaultProfile,
     VisitedStore,
     build_fault_profile,
     freeze_value,
@@ -55,7 +54,6 @@ __all__ = [
     "EngineView",
     "ExplorationLimitExceeded",
     "ExplorationResult",
-    "FaultProfile",
     "GroupElement",
     "REDUCTION_MODES",
     "ReducedExplorationResult",

@@ -21,8 +21,8 @@ partial-order-reduced search) stay byte-for-byte comparable:
 Fault emulation — historically a third concern here — moved to
 :mod:`repro.faults.profile`: :class:`~repro.faults.profile.ReplayProfile`
 replays a faulted network's per-send decisions as a pure function of
-``(channel_id, send_index)``, with no cached RNG streams.  ``FaultProfile``
-and :func:`build_fault_profile` remain importable from here as aliases.
+``(channel_id, send_index)``, with no cached RNG streams;
+:func:`build_fault_profile` remains importable from here.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.core.schema import (  # noqa: F401  (re-exported, canonical home)
     packed_fingerprint,
 )
 from repro.faults.profile import (  # noqa: F401  (re-exported, canonical home)
-    FaultProfile,
     ReplayProfile,
     build_fault_profile,
 )

@@ -49,7 +49,7 @@ the pass-rate, and the interval inherits the conservatism).
 Fault injection serves two roles:
 
 * **Self-test** (``repro verify --statistical --inject-drop``): a
-  :class:`~repro.simulator.fleet.FleetFault` deletes in-flight pulses at
+  :class:`~repro.faults.model.PulseDrop` deletes in-flight pulses at
   a chosen round.  Pulse loss is outside the model, so a correct kernel
   + invariant battery must flag it, demonstrating the full find →
   localize → replay loop.
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.parallel import (
     ProcessCount,
@@ -83,7 +83,6 @@ from repro.faults.fleet import merge_events
 from repro.faults.model import FaultModel
 from repro.simulator.fleet import (
     DEFAULT_MAX_ROUNDS,
-    FleetFault,
     FleetResult,
     _mix64,
     run_nonoriented_fleet,
@@ -100,10 +99,6 @@ CHECKABLE_ALGORITHMS = ("terminating", "nonoriented")
 
 _KEY_SAMPLE = 0xA24BAED4963EE407  # odd constant for the per-sample stream
 _KEY_FLIP = 0x9E6C63D0876A9A35  # odd constant for the per-sample flip stream
-
-#: Anything the fleet entry points accept as a fault argument.
-FaultArg = Optional[Union[FleetFault, FaultModel]]
-
 
 def ids_for_instance(seed: int, index: int, n: int, id_max: int) -> List[int]:
     """The ID assignment of sample ``index`` — pure in ``(seed, index)``.
@@ -149,7 +144,7 @@ class Counterexample:
     sched_seed: int
     scheduler: str
     backend: str
-    fault: FaultArg = None
+    faults: Optional[FaultModel] = None
     flips: Optional[Tuple[bool, ...]] = None
     watchdog_rounds: Optional[int] = None
     classification: Optional[str] = None
@@ -174,7 +169,7 @@ class Counterexample:
                 scheduler=self.scheduler,
                 backend=self.backend,
                 sched_seed=self.sched_seed,
-                fault=self.fault,
+                faults=self.faults,
                 max_rounds=DEFAULT_MAX_ROUNDS,
                 observer=None,
                 watchdog_rounds=self.watchdog_rounds,
@@ -191,7 +186,7 @@ class Counterexample:
             scheduler=self.scheduler,
             backend=self.backend,
             sched_seed=self.sched_seed,
-            fault=self.fault,
+            faults=self.faults,
             max_rounds=DEFAULT_MAX_ROUNDS,
             watchdog_rounds=self.watchdog_rounds,
             budget=1,
@@ -259,7 +254,7 @@ def _run_fleet(
     scheduler: str,
     backend: str,
     sched_seed: int,
-    fault: FaultArg,
+    faults: Optional[FaultModel],
     max_rounds: int,
     observer: Optional[Callable[[Any], None]],
     watchdog_rounds: Optional[int],
@@ -273,7 +268,7 @@ def _run_fleet(
             scheduler=scheduler,
             seed=sched_seed,
             max_rounds=max_rounds,
-            faults=fault,
+            faults=faults,
             observer=observer,
             instance_offset=offset,
             watchdog_rounds=watchdog_rounds,
@@ -285,7 +280,7 @@ def _run_fleet(
         seed=sched_seed,
         max_rounds=max_rounds,
         observer=observer,
-        fault=fault,
+        faults=faults,
         instance_offset=offset,
         watchdog_rounds=watchdog_rounds,
     )
@@ -392,7 +387,7 @@ def _check_block(
     scheduler: str,
     backend: str,
     sched_seed: int,
-    fault: FaultArg,
+    faults: Optional[FaultModel],
     max_rounds: int,
     watchdog_rounds: Optional[int],
     budget: int,
@@ -414,7 +409,7 @@ def _check_block(
             scheduler=scheduler,
             backend=backend,
             sched_seed=sched_seed,
-            fault=fault,
+            faults=faults,
             max_rounds=max_rounds,
             observer=_observer_for(algorithm),
             watchdog_rounds=watchdog_rounds,
@@ -436,7 +431,7 @@ def _check_block(
             scheduler,
             backend,
             sched_seed,
-            fault,
+            faults,
             max_rounds,
             watchdog_rounds,
             budget,
@@ -449,7 +444,7 @@ def _check_block(
             scheduler,
             backend,
             sched_seed,
-            fault,
+            faults,
             max_rounds,
             watchdog_rounds,
             budget - len(left),
@@ -470,7 +465,7 @@ def _worker(job: Tuple) -> List[Tuple[int, str]]:
         scheduler,
         backend,
         block_size,
-        fault,
+        faults,
         max_rounds,
         watchdog_rounds,
         budget,
@@ -493,7 +488,7 @@ def _worker(job: Tuple) -> List[Tuple[int, str]]:
                 scheduler,
                 backend,
                 sched_seed,
-                fault,
+                faults,
                 max_rounds,
                 watchdog_rounds,
                 budget - len(failures),
@@ -544,7 +539,7 @@ def run_statistical_check(
     backend: str = "auto",
     block_size: int = DEFAULT_BLOCK_SIZE,
     confidence: float = 0.99,
-    fault: FaultArg = None,
+    faults: Optional[FaultModel] = None,
     max_counterexamples: int = 5,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     watchdog_rounds: Optional[int] = None,
@@ -568,10 +563,9 @@ def run_statistical_check(
         backend: Fleet backend (``"auto"`` / ``"numpy"`` / ``"python"``).
         block_size: Instances per fleet run.
         confidence: Clopper–Pearson coverage for the pass-rate interval.
-        fault: Optional injected fault — a single
-            :class:`~repro.simulator.fleet.FleetFault` pulse loss (the
-            checker's classic self-test) or a full
-            :class:`~repro.faults.model.FaultModel`.
+        faults: Optional injected :class:`~repro.faults.model.FaultModel`
+            (a single :class:`~repro.faults.model.PulseDrop` is the
+            checker's classic self-test).
         max_counterexamples: How many violations to localize exactly
             (and record as replayable :class:`Counterexample` objects).
         max_rounds: Fleet safety bound.
@@ -594,7 +588,7 @@ def run_statistical_check(
             scheduler,
             backend,
             block_size,
-            fault,
+            faults,
             max_rounds,
             watchdog_rounds,
             max_counterexamples,
@@ -618,7 +612,7 @@ def run_statistical_check(
             sched_seed=sched_seed,
             scheduler=scheduler,
             backend=resolved_backend,
-            fault=fault,
+            faults=faults,
             flips=(
                 tuple(flips_for_instance(seed, index, n))
                 if algorithm == "nonoriented"
@@ -814,7 +808,7 @@ def _recovery_worker(
             scheduler=scheduler,
             backend=backend,
             sched_seed=sched_seed,
-            fault=faults,
+            faults=faults,
             max_rounds=max_rounds,
             observer=None,
             watchdog_rounds=watchdog_rounds,
@@ -859,8 +853,6 @@ def run_recovery_shard(
     """
     if faults is None:
         faults = FaultModel.none()
-    if isinstance(faults, FleetFault):
-        faults = FaultModel(drops=(faults,))
     return _recovery_worker(
         (
             algorithm,
@@ -887,7 +879,7 @@ def _first_violation(
     scheduler: str,
     backend: str,
     sched_seed: int,
-    faults: FaultArg,
+    faults: Optional[FaultModel],
     max_rounds: int,
     watchdog_rounds: Optional[int],
 ) -> Optional[Tuple[str, str]]:
@@ -923,7 +915,7 @@ def _first_violation(
         scheduler=scheduler,
         backend=backend,
         sched_seed=sched_seed,
-        fault=faults,
+        faults=faults,
         max_rounds=max_rounds,
         observer=observe,
         watchdog_rounds=watchdog_rounds,
@@ -964,8 +956,6 @@ def run_recovery_check(
     _validate_common(algorithm, samples, n, id_max, block_size)
     if faults is None:
         faults = FaultModel.none()
-    if isinstance(faults, FleetFault):
-        faults = FaultModel(drops=(faults,))
 
     indices = list(range(samples))
     shards = shard_evenly(indices, resolve_processes(processes))
@@ -1032,7 +1022,7 @@ def run_recovery_check(
                 sched_seed=sched_seed,
                 scheduler=scheduler,
                 backend=resolved_backend,
-                fault=faults,
+                faults=faults,
                 flips=tuple(flips) if flips is not None else None,
                 watchdog_rounds=watchdog_rounds,
                 classification=classification,

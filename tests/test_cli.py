@@ -111,6 +111,25 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--statistical", "--inject-burst", "0,3"),
+            ("--statistical", "--inject-crash", "1,0"),
+            ("--statistical", "--inject-crash", "1,2,-1"),
+            ("--statistical", "--inject-corrupt", "1,0,rho_cw,3"),
+            ("--statistical", "--inject-drop", "0,1,0"),
+            ("--ids", "1,2,3", "--inject-drop-rate", "1.5"),
+        ],
+    )
+    def test_bad_fault_clause_exits_with_one_line(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--samples", "4", "--n", "4", "--id-max", "20",
+                  *flags])
+        message = exit_info.value.code
+        assert isinstance(message, str) and message
+        assert "\n" not in message
+
 
 class TestSolitude:
     def test_pattern_table(self, capsys):

@@ -239,11 +239,11 @@ class TestCompiledMatchesOracles:
 
     def test_terminating(self, scheduler, model):
         got = run_terminating_fleet(POOL, backend="auto", scheduler=scheduler,
-                                    fault=model, instance_offset=3)
+                                    faults=model, instance_offset=3)
         assert got.backend == "compiled"
         for oracle in ("python", "numpy"):
             want = run_terminating_fleet(POOL, backend=oracle,
-                                         scheduler=scheduler, fault=model,
+                                         scheduler=scheduler, faults=model,
                                          instance_offset=3)
             _assert_fleet_equal(got, want,
                                 _oracle_fields(oracle, TERMINATING_FIELDS))
@@ -267,8 +267,8 @@ class TestCompiledGlue:
         # Fault rolls key on the global instance index: row 1 of a batch
         # rerun solo at instance_offset=1 replays its exact fault stream.
         model = FaultModel(drop_rate=0.1, duplicate_rate=0.05, seed=13)
-        batch = run_terminating_fleet(POOL, backend="auto", fault=model)
-        solo = run_terminating_fleet([POOL[1]], backend="auto", fault=model,
+        batch = run_terminating_fleet(POOL, backend="auto", faults=model)
+        solo = run_terminating_fleet([POOL[1]], backend="auto", faults=model,
                                      instance_offset=1)
         assert batch.backend == solo.backend == "compiled"
         assert (batch.leaders[1], batch.states[1], batch.total_pulses[1],
@@ -304,10 +304,10 @@ class TestCompiledGlue:
     def test_deterministic_clause_falls_back_to_numpy(self):
         model = FaultModel(drops=(PulseDrop(round_index=2, node=1),))
         result = run_terminating_fleet([[3, 1, 2]], backend="auto",
-                                       fault=model)
+                                       faults=model)
         assert result.backend == "numpy"
         want = run_terminating_fleet([[3, 1, 2]], backend="python",
-                                     fault=model)
+                                     faults=model)
         _assert_fleet_equal(result, want, TERMINATING_FIELDS)
 
     def test_recovery_check_runs_compiled(self):

@@ -593,7 +593,7 @@ def _submit_subprocess(root: Path, total: int, shard_size: int) -> subprocess.Po
             "64",
             "--seed",
             "9",
-            "--drop-rate",
+            "--inject-drop-rate",
             "0.01",
             "--fault-seed",
             "9",

@@ -28,7 +28,6 @@ from repro.faults import (
     FaultBurst,
     FaultModel,
     FaultyChannel,
-    FleetFault,
     NodeCrash,
     PulseDrop,
     StateCorruption,
@@ -104,7 +103,6 @@ class TestModelValidation:
             PulseDrop(round_index=1, node=0, direction="sideways")
         with pytest.raises(ConfigurationError):
             PulseDrop(round_index=0, node=0)
-        assert FleetFault is PulseDrop  # historical alias survives
 
     def test_corruptible_fields_trace_to_kernel_schemas(self):
         assert corruptible_fields("warmup") == ("rho_cw", "sigma_cw")
@@ -224,7 +222,7 @@ class TestFleetFaultEvents:
         assert merged["restarts"] == 2
 
     def test_noop_model_reports_no_events(self):
-        result = run_terminating_fleet([[2, 1, 3]], fault=FaultModel.none())
+        result = run_terminating_fleet([[2, 1, 3]], faults=FaultModel.none())
         assert result.fault_events is None
         assert result.leaders == [[2]]
 
@@ -276,15 +274,6 @@ class TestRecoveryHarness:
         )
         assert report.stuck == 16
         assert report.counterexamples[0].classification == "stuck"
-
-    def test_legacy_fleet_fault_still_accepted(self):
-        drop = FleetFault(round_index=3, node=1, instance=2)
-        report = run_recovery_check(
-            algorithm="terminating", n=4, id_max=30, samples=8,
-            block_size=8, faults=drop, max_counterexamples=1,
-        )
-        assert report.recovered + report.wrong_stable + report.stuck == 8
-        assert report.stuck == 1  # only the targeted instance suffers
 
     def test_sampled_coordinates_are_pure_functions(self):
         assert ids_for_instance(7, 5, 3, 100) == ids_for_instance(7, 5, 3, 100)
