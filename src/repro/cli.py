@@ -272,7 +272,6 @@ def _fault_model_from_args(args: argparse.Namespace):
     Returns None when no fault clause was requested (fault-free run).  A
     malformed or out-of-range clause exits with a one-line message.
     """
-    from repro.exceptions import ConfigurationError
     from repro.faults.model import (
         FaultBurst,
         FaultModel,
@@ -330,7 +329,7 @@ def _fault_model_from_args(args: argparse.Namespace):
             crashes=tuple(crashes),
             corruptions=tuple(corruptions),
         )
-    except (ConfigurationError, argparse.ArgumentTypeError) as error:
+    except argparse.ArgumentTypeError as error:
         raise SystemExit(str(error)) from None
     return None if model.is_noop else model
 
@@ -358,27 +357,23 @@ def _print_recovery_counterexamples(report) -> bool:
 
 
 def _cmd_verify_recovery(args: argparse.Namespace, model) -> int:
-    from repro.exceptions import ConfigurationError
     from repro.verification.statistical import run_recovery_check
 
-    try:
-        report = run_recovery_check(
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            faults=model,
-            watchdog_rounds=args.watchdog,
-            processes=args.processes,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    report = run_recovery_check(
+        algorithm=args.algorithm,
+        n=args.n,
+        id_max=args.id_max,
+        samples=args.samples,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        block_size=args.block_size,
+        confidence=args.confidence,
+        faults=model,
+        watchdog_rounds=args.watchdog,
+        processes=args.processes,
+    )
 
     print(f"algorithm            : {report.algorithm}")
     print(f"mode                 : recovery (faulted runs, stable end state)")
@@ -412,7 +407,7 @@ def _cmd_verify_recovery(args: argparse.Namespace, model) -> int:
 
 
 def _cmd_verify_topology_statistical(args: argparse.Namespace) -> int:
-    from repro.exceptions import BridgeWitnessError, ConfigurationError
+    from repro.exceptions import BridgeWitnessError
     from repro.verification.statistical import run_topology_check
 
     graph = _parse_topology(args.topology)
@@ -436,8 +431,6 @@ def _cmd_verify_topology_statistical(args: argparse.Namespace) -> int:
         if refusal.bridge is not None:
             print(f"witness              : bridge edge {refusal.bridge}")
         return 1
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
     print(f"virtual ring         : L={report.walk_length} stride C={report.stride}")
     print(f"id max               : {report.id_max}")
     print(f"samples              : {report.samples}")
@@ -462,21 +455,17 @@ def _cmd_verify_topology_statistical(args: argparse.Namespace) -> int:
 
 def _cmd_verify_anonymous(args: argparse.Namespace) -> int:
     """The Lemma 18 w.h.p. predicate over the anonymous pipeline."""
-    from repro.exceptions import ConfigurationError
     from repro.verification.statistical import run_anonymous_whp_check
 
-    try:
-        report = run_anonymous_whp_check(
-            n=args.n,
-            c=args.c,
-            trials=args.samples,
-            seed=args.seed,
-            backend=args.backend,
-            confidence=args.confidence,
-            processes=args.processes if args.processes is not None else 1,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    report = run_anonymous_whp_check(
+        n=args.n,
+        c=args.c,
+        trials=args.samples,
+        seed=args.seed,
+        backend=args.backend,
+        confidence=args.confidence,
+        processes=args.processes if args.processes is not None else 1,
+    )
     print(f"algorithm            : anonymous (Algorithm 4 -> Algorithm 3)")
     print(f"mode                 : Lemma 18 w.h.p. predicate")
     print(f"ring size n          : {report.n}")
@@ -528,26 +517,21 @@ def _cmd_verify_statistical(args: argparse.Namespace) -> int:
     if args.recovery:
         return _cmd_verify_recovery(args, model)
 
-    from repro.exceptions import ConfigurationError
-
-    try:
-        report = run_statistical_check(
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            faults=model,
-            watchdog_rounds=args.watchdog,
-            processes=args.processes,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    report = run_statistical_check(
+        algorithm=args.algorithm,
+        n=args.n,
+        id_max=args.id_max,
+        samples=args.samples,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        block_size=args.block_size,
+        confidence=args.confidence,
+        faults=model,
+        watchdog_rounds=args.watchdog,
+        processes=args.processes,
+    )
 
     print(f"algorithm            : {report.algorithm}")
     print(f"mode                 : statistical (sampled instances)")
@@ -902,7 +886,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.average_case import measure_oblivious_over_placements
     from repro.analysis.whp import measure_anonymous_success
-    from repro.exceptions import ConfigurationError
 
     if args.fleet:
         from repro.accel import maybe_warm_compiled
@@ -914,19 +897,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"seed={args.seed} engine={engine} backend={args.backend}"
     )
     if args.workload == "placements":
-        try:
-            stats = measure_oblivious_over_placements(
-                args.n,
-                args.trials,
-                seed=args.seed,
-                processes=args.processes,
-                batched=not args.fleet,
-                fleet=args.fleet,
-                backend=args.backend,
-                farm_root=args.farm,
-            )
-        except ConfigurationError as error:
-            raise SystemExit(str(error)) from None
+        stats = measure_oblivious_over_placements(
+            args.n,
+            args.trials,
+            seed=args.seed,
+            processes=args.processes,
+            batched=not args.fleet,
+            fleet=args.fleet,
+            backend=args.backend,
+            farm_root=args.farm,
+        )
         print(
             f"algorithm 2 pulses over {stats.trials} random placements of "
             f"1..{args.n}: mean={stats.mean:.1f} min={stats.minimum} "
@@ -939,19 +919,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 1
         print("OK: zero placement variance, every trial met the bound exactly")
         return 0
-    try:
-        estimate = measure_anonymous_success(
-            args.n,
-            args.trials,
-            c=args.c,
-            seed=args.seed,
-            processes=args.processes,
-            fleet=args.fleet,
-            backend=args.backend,
-            farm_root=args.farm,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    estimate = measure_anonymous_success(
+        args.n,
+        args.trials,
+        c=args.c,
+        seed=args.seed,
+        processes=args.processes,
+        fleet=args.fleet,
+        backend=args.backend,
+        farm_root=args.farm,
+    )
     print(
         f"theorem 3 success rate at n={args.n}, c={args.c}: "
         f"{estimate.successes}/{estimate.trials} = {estimate.rate:.4f} "
@@ -983,29 +960,25 @@ def _parse_float_list(text: str) -> List[float]:
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     from repro.accel import maybe_warm_compiled
     from repro.analysis.degradation import measure_degradation
-    from repro.exceptions import ConfigurationError
 
     maybe_warm_compiled(args.backend)
-    try:
-        curve = measure_degradation(
-            args.rates,
-            kind=args.kind,
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            fault_seed=args.fault_seed,
-            processes=args.processes,
-            farm_root=args.farm,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    curve = measure_degradation(
+        args.rates,
+        kind=args.kind,
+        algorithm=args.algorithm,
+        n=args.n,
+        id_max=args.id_max,
+        samples=args.samples,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        block_size=args.block_size,
+        confidence=args.confidence,
+        fault_seed=args.fault_seed,
+        processes=args.processes,
+        farm_root=args.farm,
+    )
 
     print(
         f"degradation sweep: algorithm={curve.algorithm} kind={curve.kind} "
@@ -1072,49 +1045,45 @@ def _cmd_faults_search(args: argparse.Namespace) -> int:
         save_artifact,
         search_worst_plan,
     )
-    from repro.exceptions import ConfigurationError
     from repro.farm.keys import canonical_json
 
     maybe_warm_compiled(args.backend)
-    try:
-        space = PlanSpace(
-            n=args.n,
-            budget=args.budget,
-            rounds=tuple(args.rounds),
-            thresholds=tuple(args.thresholds),
-            offsets=tuple(args.offsets),
-            restarts=tuple(args.restarts),
-            drop_rates=tuple(args.drop_rates),
-            max_drops=args.max_drops,
-            max_burst=args.max_burst,
-            fault_seed=args.fault_seed,
-        )
-        settings = EvalSettings(
-            algorithm=args.algorithm,
-            n=args.n,
-            id_max=args.id_max,
-            samples=args.samples,
-            seed=args.seed,
-            sched_seed=args.sched_seed,
-            scheduler=args.scheduler,
-            backend=args.backend,
-            block_size=args.block_size,
-            confidence=args.confidence,
-            watchdog_rounds=args.watchdog,
-        )
-        result = search_worst_plan(
-            space,
-            settings,
-            strategy=args.strategy,
-            iterations=args.iterations,
-            population=args.population,
-            elite_frac=args.elite_frac,
-            epsilon=args.epsilon,
-            search_seed=args.search_seed,
-            farm_root=args.farm,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    space = PlanSpace(
+        n=args.n,
+        budget=args.budget,
+        rounds=tuple(args.rounds),
+        thresholds=tuple(args.thresholds),
+        offsets=tuple(args.offsets),
+        restarts=tuple(args.restarts),
+        drop_rates=tuple(args.drop_rates),
+        max_drops=args.max_drops,
+        max_burst=args.max_burst,
+        fault_seed=args.fault_seed,
+    )
+    settings = EvalSettings(
+        algorithm=args.algorithm,
+        n=args.n,
+        id_max=args.id_max,
+        samples=args.samples,
+        seed=args.seed,
+        sched_seed=args.sched_seed,
+        scheduler=args.scheduler,
+        backend=args.backend,
+        block_size=args.block_size,
+        confidence=args.confidence,
+        watchdog_rounds=args.watchdog,
+    )
+    result = search_worst_plan(
+        space,
+        settings,
+        strategy=args.strategy,
+        iterations=args.iterations,
+        population=args.population,
+        elite_frac=args.elite_frac,
+        epsilon=args.epsilon,
+        search_seed=args.search_seed,
+        farm_root=args.farm,
+    )
     best = result.best
     print(
         f"adversary search     : strategy={result.strategy} "
@@ -1151,16 +1120,13 @@ def _cmd_faults_search(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"--baseline takes an int or 'equal', got {spec!r}"
                 ) from None
-        try:
-            baseline = random_baseline(
-                space,
-                settings,
-                count=baseline_count,
-                search_seed=args.baseline_seed,
-                farm_root=args.farm,
-            )
-        except ConfigurationError as error:
-            raise SystemExit(str(error)) from None
+        baseline = random_baseline(
+            space,
+            settings,
+            count=baseline_count,
+            search_seed=args.baseline_seed,
+            farm_root=args.farm,
+        )
         print(
             f"random baseline      : best of {baseline_count} plans "
             f"(seed {args.baseline_seed}): {baseline.recovered}/"
@@ -1192,17 +1158,13 @@ def _cmd_faults_search(args: argparse.Namespace) -> int:
 def _cmd_faults_replay(args: argparse.Namespace) -> int:
     from repro.accel import maybe_warm_compiled
     from repro.adversary import load_artifact, replay_artifact
-    from repro.exceptions import ConfigurationError
     from repro.farm.keys import canonical_json
 
     maybe_warm_compiled(args.backend)
-    try:
-        payload = load_artifact(args.artifact)
-        outcome = replay_artifact(
-            payload, backend=args.backend, farm_root=args.farm
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    payload = load_artifact(args.artifact)
+    outcome = replay_artifact(
+        payload, backend=args.backend, farm_root=args.farm
+    )
     recorded = payload["worst_plan"]
     print(f"artifact             : {args.artifact}")
     print(f"plan                 : {canonical_json(recorded['plan'])}")
@@ -1325,20 +1287,16 @@ def _farm_campaign_from_args(args: argparse.Namespace):
 
 def _cmd_farm_submit(args: argparse.Namespace) -> int:
     from repro.accel import maybe_warm_compiled
-    from repro.exceptions import ConfigurationError
     from repro.farm.service import Farm
 
     maybe_warm_compiled(args.backend)
-    try:
-        campaign = _farm_campaign_from_args(args)
-        outcome = Farm(args.root).submit(
-            campaign,
-            backend=args.backend,
-            processes=args.processes,
-            block_size=args.block_size,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    campaign = _farm_campaign_from_args(args)
+    outcome = Farm(args.root).submit(
+        campaign,
+        backend=args.backend,
+        processes=args.processes,
+        block_size=args.block_size,
+    )
     print(
         f"farm submit: campaign={outcome.cid} workload={args.workload} "
         f"total={args.total} shards={outcome.jobs}"
@@ -1365,13 +1323,9 @@ def _cmd_farm_submit(args: argparse.Namespace) -> int:
 def _cmd_farm_status(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exceptions import ConfigurationError
     from repro.farm.service import Farm
 
-    try:
-        report = Farm(args.root).status(args.campaign)
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    report = Farm(args.root).status(args.campaign)
     print(json.dumps(report, indent=2, sort_keys=True))
     incomplete = [
         cid
@@ -1382,18 +1336,14 @@ def _cmd_farm_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_collect(args: argparse.Namespace) -> int:
-    from repro.exceptions import ConfigurationError
     from repro.farm.service import Farm
 
-    try:
-        text = Farm(args.root).collect_text(
-            args.campaign,
-            confidence=args.confidence,
-            z=args.z,
-            interval=args.interval,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    text = Farm(args.root).collect_text(
+        args.campaign,
+        confidence=args.confidence,
+        z=args.z,
+        interval=args.interval,
+    )
     if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -1917,7 +1867,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         and args.ids is None
     ):
         parser.error("--ids is required for oriented/nonoriented elections")
-    return args.func(args)
+    from repro.exceptions import ConfigurationError
+
+    try:
+        return args.func(args)
+    except ConfigurationError as error:
+        raise SystemExit(str(error)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

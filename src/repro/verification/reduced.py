@@ -15,7 +15,12 @@ reductions the content-oblivious model admits, selectable via the
    *count*.  State fingerprints are additionally lowered to compact
    packed bytes (:func:`repro.core.schema.pack_frozen`), and the visited
    set can spill to disk (:class:`~repro.verification.common.VisitedStore`)
-   so frontier budgets fit in memory.
+   so frontier budgets fit in memory.  Successors are built
+   copy-on-write (:func:`_successor`): a delivery mutates only the
+   popped channel, the receiver and the receiver's out-channels, so the
+   successor shares every other node object with its parent,
+   deep-copies only the receiver, and repacks only those components of
+   the key.
 
 2. **Persistent/ample sets** (all modes).  Delivering the head of
    channel ``c`` mutates only ``c``'s queue (a pop), the receiver's
@@ -34,8 +39,8 @@ reductions the content-oblivious model admits, selectable via the
    (Godefroid): the visited store remembers, per state, the sleep set it
    was last explored with; re-reaching a state with a sleep set that is
    not a superset re-explores it with the intersection.  Sleep sets
-   mostly cut *transitions* — each executed transition is a deep copy,
-   so they cut exactly the dominant cost.
+   mostly cut *transitions* — each executed transition builds and keys
+   a successor state, so they cut exactly the dominant cost.
 
 4. **Symmetry** (``symmetry``/``full``).  Visited-set keys are
    canonicalized under the ring's automorphism group
@@ -166,9 +171,23 @@ class _Static:
 
 
 class _RState:
-    """One explored global state in counting representation."""
+    """One explored global state in counting representation.
 
-    __slots__ = ("nodes", "queues", "fault_idx", "total_sent")
+    ``node_packed``/``queue_packed`` carry the state's packed per-node and
+    per-channel key components (see :meth:`packed_components`).  States
+    are built copy-on-write (:func:`_successor`): a successor shares every
+    node object, queue and packed component its delivery leaves alone, so
+    nothing reachable from a pushed state may be mutated in place.
+    """
+
+    __slots__ = (
+        "nodes",
+        "queues",
+        "fault_idx",
+        "total_sent",
+        "node_packed",
+        "queue_packed",
+    )
 
     def __init__(self, network: Network, static: _Static) -> None:
         self.nodes = network.nodes
@@ -179,16 +198,6 @@ class _RState:
             [0] * static.n_channels if static.fault_profile is not None else None
         )
         self.total_sent = 0
-
-    def clone(self) -> "_RState":
-        new = _RState.__new__(_RState)
-        new.nodes = copy.deepcopy(self.nodes)
-        new.queues = [
-            queue if isinstance(queue, int) else list(queue) for queue in self.queues
-        ]
-        new.fault_idx = None if self.fault_idx is None else list(self.fault_idx)
-        new.total_sent = self.total_sent
-        return new
 
     def qlen(self, channel_id: int) -> int:
         queue = self.queues[channel_id]
@@ -203,25 +212,26 @@ class _RState:
         return [cid for cid in range(len(self.queues)) if self.qlen(cid)]
 
     def packed_components(self) -> Tuple[List[bytes], List[bytes]]:
-        """Per-node and per-channel packed byte components of this state.
+        """Per-node and per-channel packed byte components, packed from scratch.
 
         Each component is self-delimiting and the counts are fixed per
         exploration, so any concatenation of them is injective — the raw
         material for both the plain visited key and the symmetry-canonical
         key (which permutes the components before joining).
         """
-        node_packed = [
-            pack_frozen(freeze_value(node_state_dict(node))) for node in self.nodes
+        return [_pack_node(node) for node in self.nodes], [
+            _pack_queue(queue) for queue in self.queues
         ]
-        queue_packed = [
-            pack_frozen(
-                queue
-                if isinstance(queue, int)
-                else tuple(freeze_value(item) for item in queue)
-            )
-            for queue in self.queues
-        ]
-        return node_packed, queue_packed
+
+
+def _pack_node(node: Any) -> bytes:
+    return pack_frozen(freeze_value(node_state_dict(node)))
+
+
+def _pack_queue(queue: Any) -> bytes:
+    return pack_frozen(
+        queue if isinstance(queue, int) else tuple(freeze_value(item) for item in queue)
+    )
 
 
 class _ReducedAPI(NodeAPI):
@@ -283,6 +293,38 @@ def _deliver(static: _Static, state: _RState, channel_id: int) -> bool:
         content,
     )
     return False
+
+
+def _successor(
+    static: _Static, state: _RState, channel_id: int
+) -> Tuple[_RState, bool]:
+    """The state after delivering ``channel_id``'s head, built copy-on-write.
+
+    A delivery mutates only the popped channel, the receiver and the
+    receiver's out-channels (and their fault cursors).  The successor
+    therefore shares every other node object and queue with ``state``,
+    deep-copies only the receiver, and repacks only the touched
+    components — the resulting key is byte-identical to a full repack.
+    Returns the successor and whether the delivery violated quiescence.
+    """
+    receiver = static.dst_node[channel_id]
+    touched = (channel_id, *static.out_channels[receiver])
+    child = _RState.__new__(_RState)
+    child.nodes = list(state.nodes)
+    child.nodes[receiver] = copy.deepcopy(state.nodes[receiver])
+    child.queues = list(state.queues)
+    for cid in touched:
+        if not static.contentless[cid]:
+            child.queues[cid] = list(state.queues[cid])
+    child.fault_idx = None if state.fault_idx is None else list(state.fault_idx)
+    child.total_sent = state.total_sent
+    violated = _deliver(static, child, channel_id)
+    child.node_packed = list(state.node_packed)
+    child.node_packed[receiver] = _pack_node(child.nodes[receiver])
+    child.queue_packed = list(state.queue_packed)
+    for cid in touched:
+        child.queue_packed[cid] = _pack_queue(child.queues[cid])
+    return child, violated
 
 
 def _independent(static: _Static, a: int, b: int) -> bool:
@@ -563,6 +605,7 @@ def explore_reduced(
     root = _RState(network, static)
     for index, node in enumerate(root.nodes):
         node.on_init(_ReducedAPI(static, root, index))
+    root.node_packed, root.queue_packed = root.packed_components()
 
     def state_key(state: _RState) -> Tuple[bytes, int, bool]:
         """Visited key, canonicalizing element index, label ambiguity.
@@ -572,10 +615,9 @@ def explore_reduced(
         labels are then ill-defined and the sleep layer must not rely
         on them.
         """
-        node_packed, queue_packed = state.packed_components()
         if sym is not None:
-            return sym.canonical(node_packed, queue_packed)
-        key = b"".join(node_packed) + b"".join(queue_packed)
+            return sym.canonical(state.node_packed, state.queue_packed)
+        key = b"".join(state.node_packed) + b"".join(state.queue_packed)
         if state.fault_idx is not None:
             key += pack_frozen(tuple(state.fault_idx))
         return key, 0, False
@@ -610,7 +652,7 @@ def explore_reduced(
 
         orbit_factor = 1
         if sym is not None:
-            orbit_factor = sym.orbit_factor(*root.packed_components())
+            orbit_factor = sym.orbit_factor(root.node_packed, root.queue_packed)
 
         terminal_node_fps: List[Tuple] = []
         terminal_outputs: List[Tuple] = []
@@ -660,9 +702,9 @@ def explore_reduced(
                 if channel_id in sleep:
                     sleep_skipped += 1
                     continue
-                successor = state.clone()
+                successor, violated = _successor(static, state, channel_id)
                 transitions += 1
-                if _deliver(static, successor, channel_id):
+                if violated:
                     violations += 1
                 if use_sleep:
                     child_sleep = frozenset(

@@ -1,8 +1,15 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +136,32 @@ class TestVerify:
         message = exit_info.value.code
         assert isinstance(message, str) and message
         assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--ids", "0,1"),
+        ("verify", "--ids", "0,1", "--algorithm", "warmup"),
+        ("elect", "--ids", "0,1"),
+    ],
+)
+def test_non_positive_ids_exit_with_one_line(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "positive" in proc.stderr
 
 
 class TestSolitude:
